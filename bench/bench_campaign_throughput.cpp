@@ -187,47 +187,6 @@ void BM_CampaignSharded(benchmark::State& state) {
   state.counters["max_rss_mb"] = max_rss_mb();
 }
 
-// Commit-phase A/B on the sharded large-world workload: range(0) users,
-// shards fixed at 1 so the commit and pre-pass phases are pure single-thread
-// work, range(1) picks the commit path (0 = buffered segment commit, the
-// default; 1 = the legacy per-user serial loop). The campaign is
-// bit-identical between the two (pinned by CommitEquivalence), so the
-// phase_commit_s + phase_prepass_s delta between the series is exactly the
-// restructuring win the commit buffers buy. One campaign per iteration for
-// the same reason as BM_CampaignSharded. This is the
-// results/BENCH_campaign.json commit_phase artifact.
-void BM_CampaignCommit(benchmark::State& state) {
-  const int users = static_cast<int>(state.range(0));
-  exp::ExperimentConfig cfg;
-  cfg.selector = select::SelectorKind::kGreedy;
-  cfg.scenario.num_users = users;
-  cfg.scenario.num_tasks = users / 10;
-  cfg.scenario.area_side = 30000.0 * std::sqrt(users / 100000.0);
-  cfg.mech_params.platform_budget =
-      3.0 * 20.0 * static_cast<double>(cfg.scenario.num_tasks);
-  cfg.max_rounds = 3;
-  cfg.shards = 1;
-  cfg.phase_timers = true;
-  cfg.legacy_commit = state.range(1) != 0;
-  std::int64_t user_rounds = 0;
-  sim::CampaignMetrics last{};
-  for (auto _ : state) {
-    const exp::RepetitionResult rep = exp::run_repetition(cfg, 0xca3917a1ULL);
-    benchmark::DoNotOptimize(rep.campaign.total_paid);
-    user_rounds += static_cast<std::int64_t>(rep.rounds.size()) *
-                   cfg.scenario.num_users;
-    last = rep.campaign;
-  }
-  state.SetItemsProcessed(state.iterations());
-  state.counters["user_rounds"] = benchmark::Counter(
-      static_cast<double>(user_rounds), benchmark::Counter::kIsRate);
-  state.counters["phase_prepass_s"] = last.phase_prepass_s;
-  state.counters["phase_plan_s"] = last.phase_plan_s;
-  state.counters["phase_reprice_s"] = last.phase_reprice_s;
-  state.counters["phase_commit_s"] = last.phase_commit_s;
-  state.counters["max_rss_mb"] = max_rss_mb();
-}
-
 // Reprice-phase A/B on the sharded large-world workload: range(0) users,
 // shards fixed at 1 so nothing else contends for the pool, range(1) picks
 // the reprice path (0 = serial sweep, the default; 1 = reprice_threads=0,
@@ -338,12 +297,5 @@ BENCHMARK(BM_CampaignReprice)
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_CampaignReprice)
     ->ArgsProduct({{1000000}, {0, 1}})
-    ->Iterations(1)
-    ->Unit(benchmark::kMillisecond);
-// Commit A/B: buffered (0) vs legacy (1) at 100k and 1M users. Single
-// iteration like the other large-world runs; the phase counters, not the
-// total wall time, are the artifact.
-BENCHMARK(BM_CampaignCommit)
-    ->ArgsProduct({{100000, 1000000}, {0, 1}})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);

@@ -148,14 +148,11 @@ PY
   # along inside BENCH_campaign.json with CPU-time speedups per benchmark.
   # The BM_CampaignMemo pairs are additionally distilled into a "plan_memo"
   # section: campaigns/s with the memo off vs on, the off->on speedup and
-  # the memo hit rate, per user count. The BM_CampaignCommit pairs become a
-  # "commit_phase" section: commit+prepass seconds for the buffered vs the
-  # legacy commit path, plus the reduction against the committed HEAD
-  # capture's BM_CampaignSharded shards=1 phase timers (the pre-PR release
-  # numbers), so the commit-restructuring claim is auditable from one file.
-  # The BM_CampaignReprice pairs become a "reprice_phase" section in the
-  # same shape: reprice seconds for the serial vs the auto-threaded sweep
-  # plus the reduction against the HEAD capture's shards=1 reprice timer.
+  # the memo hit rate, per user count. The BM_CampaignReprice pairs become a
+  # "reprice_phase" section: reprice seconds for the serial vs the
+  # auto-threaded sweep plus the reduction against the committed HEAD
+  # capture's BM_CampaignSharded shards=1 reprice timer (the pre-PR release
+  # numbers), so the reprice-sharding claim is auditable from one file.
   if command -v python3 >/dev/null 2>&1; then
     HEAD_CAMPAIGN="$(mktemp)"
     git show HEAD:results/BENCH_campaign.json > "${HEAD_CAMPAIGN}" \
@@ -214,46 +211,6 @@ for entry in memo.values():
 if memo:
     merged["plan_memo"] = memo
 
-def commit_prepass_s(b):
-    return b.get("phase_commit_s", 0.0) + b.get("phase_prepass_s", 0.0)
-
-commit = {}
-for b in cur.get("benchmarks", []):
-    if b.get("run_type", "iteration") != "iteration":
-        continue
-    parts = b["name"].split("/")
-    if parts[0] != "BM_CampaignCommit" or len(parts) < 3:
-        continue
-    users, legacy = parts[1], parts[2] == "1"
-    key = "legacy" if legacy else "buffered"
-    commit.setdefault(users, {})[key + "_commit_plus_prepass_s"] = round(
-        commit_prepass_s(b), 4)
-
-# Pre-PR phase timers: the committed HEAD capture's shards=1 sharded runs.
-head_phase = {}
-if os.path.getsize(head_path) > 0:
-    with open(head_path) as f:
-        head = json.load(f)
-    head = head.get("current", head)
-    for b in head.get("benchmarks", []):
-        parts = b["name"].split("/")
-        if parts[0] == "BM_CampaignSharded" and len(parts) >= 3 \
-                and parts[2] == "1" and "phase_commit_s" in b:
-            head_phase[parts[1]] = commit_prepass_s(b)
-
-for users, entry in commit.items():
-    buffered = entry.get("buffered_commit_plus_prepass_s")
-    legacy = entry.get("legacy_commit_plus_prepass_s")
-    if buffered and legacy:
-        entry["reduction_vs_legacy"] = round(legacy / buffered, 3)
-    if buffered and head_phase.get(users):
-        entry["prev_release_commit_plus_prepass_s"] = round(
-            head_phase[users], 4)
-        entry["reduction_vs_prev_release"] = round(
-            head_phase[users] / buffered, 3)
-if commit:
-    merged["commit_phase"] = commit
-
 # Reprice A/B: best (min) phase_reprice_s per series across the
 # single-iteration repetitions, serial (range(1)=0) vs auto-threaded.
 reprice = {}
@@ -269,9 +226,12 @@ for b in cur.get("benchmarks", []):
     prev = entry.get(key + "_reprice_s")
     entry[key + "_reprice_s"] = round(min(prev, t) if prev else t, 4)
 
-# Pre-PR reprice timers from the same HEAD shards=1 sharded runs.
+# Pre-PR reprice timers: the committed HEAD capture's shards=1 sharded runs.
 head_reprice = {}
 if os.path.getsize(head_path) > 0:
+    with open(head_path) as f:
+        head = json.load(f)
+    head = head.get("current", head)
     for b in head.get("benchmarks", []):
         parts = b["name"].split("/")
         if parts[0] == "BM_CampaignSharded" and len(parts) >= 3 \

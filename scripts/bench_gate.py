@@ -24,8 +24,8 @@ For each benchmark name matched by --series and present in both captures,
 the gate compares `items_per_second` when the benchmark reports it (higher
 is better) and `cpu_time` otherwise (lower is better). The default series
 covers the campaign-throughput families whose numbers are quoted in
-EXPERIMENTS.md; single-iteration large-world runs (BM_CampaignSharded,
-BM_CampaignCommit, the 1M BM_CampaignReprice pair) are excluded by default
+EXPERIMENTS.md; single-iteration large-world runs (BM_CampaignSharded, the
+1M BM_CampaignReprice pair) are excluded by default
 because one sample has no noise floor to gate against. The 100k
 BM_CampaignReprice pair runs 3 repetitions, so it is gated (best-of-3
 campaigns/s).

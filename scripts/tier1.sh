@@ -69,9 +69,10 @@ else
   # pre-pass + per-cell planning over the SoA stores) at shard counts 1-8
   # and auto — the widest concurrent surface in the simulator.
   # CommitEquivalence drives the buffered parallel commit (segment walk +
-  # ordered merge + row-grouped delivery apply) against the legacy serial
-  # loop at shard counts 0-8 and auto — every thread-local effect buffer
-  # and its merge runs under TSan here.
+  # ordered merge + row-grouped delivery apply) against the serial
+  # one-user-at-a-time reference (the intra-round session loop at frozen
+  # prices) at shard counts 0-8 and auto and plan threads 1 and 4 — every
+  # thread-local effect buffer and its merge runs under TSan here.
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan --output-on-failure \
     -R 'ThreadPool|ParallelForEach|ParallelRunner|Determinism|Runner|Simulator|PlanEquivalence|PlanMemoEquivalence|RepriceEquivalence|ShardEquivalence|CommitEquivalence'
 fi
@@ -109,19 +110,21 @@ else
   # floating-point identity claim just like the selector equivalences.
   # ShardEquivalence: sharded == legacy is likewise a floating-point
   # identity claim (the reach filter must drop exactly what the DP prune
-  # drops under -O3's reassociation too). CommitEquivalence: the buffered
-  # commit's merge replays payments and deliveries in the legacy order —
-  # bit-identity that must survive -O3 exactly like the others.
+  # drops under -O3's reassociation too). CommitEquivalence: the batch
+  # commit's merge replays payments and deliveries in the order the serial
+  # one-user-at-a-time reference commits them — bit-identity that must
+  # survive -O3 exactly like the others.
   ctest --test-dir build-release --output-on-failure -j "${JOBS}" \
     -R 'DpEquivalence|PruneCandidatesInto|SolverEquivalence|DpSelector|PlanEquivalence|PlanMemo|RepriceEquivalence|OnDemandReprice|SteeredReprice|NeighborCache|BudgetTracker|CheckpointResume|CheckpointEnvelope|ShardEquivalence|CommitEquivalence'
   ./build-release/bench/bench_selector_scaling --benchmark_min_time=0.01 \
     --benchmark_filter='BM_DpSelector/14|BM_GreedySelector/14' >/dev/null
-  # BM_CampaignCommit and BM_CampaignReprice join the smoke set: an A/B
-  # bench that no longer builds or runs must fail tier-1, not bench day.
-  # Only the 100k serial/buffered runs (trailing slash keeps the 1M configs
-  # out — they are minutes of work and belong to bench day).
+  # The 100k-user sharded run (shards=1: buffered commit on one worker) and
+  # BM_CampaignReprice join the smoke set: a large-world bench that no
+  # longer builds or runs must fail tier-1, not bench day. Only the 100k
+  # runs (trailing slash keeps the 1M configs out — they are minutes of
+  # work and belong to bench day).
   ./build-release/bench/bench_campaign_throughput --benchmark_min_time=0.01 \
-    --benchmark_filter='BM_Campaign/greedy/50|BM_CampaignPlanThreads/100/8|BM_CampaignCommit/100000/0/|BM_CampaignReprice/100000/1/' >/dev/null
+    --benchmark_filter='BM_Campaign/greedy/50|BM_CampaignPlanThreads/100/8|BM_CampaignSharded/100000/1/|BM_CampaignReprice/100000/1/' >/dev/null
   # Checkpoint write/load smoke: a broken durability bench (or a checkpoint
   # layer that stopped round-tripping under -O3) fails tier-1 here.
   ./build-release/bench/bench_checkpoint --benchmark_min_time=0.01 \

@@ -39,7 +39,6 @@ sim::Simulator build_simulator(const ExperimentConfig& cfg, std::uint64_t seed,
   sp.reprice_threads = cfg.reprice_threads;
   sp.shards = cfg.shards;
   sp.phase_timers = cfg.phase_timers;
-  sp.legacy_commit = cfg.legacy_commit;
   sp.memo.enabled = cfg.plan_memo;
   return sim::Simulator(std::move(world), std::move(mechanism),
                         std::move(selector), sp,

@@ -64,10 +64,6 @@ struct ExperimentConfig {
   // Record per-phase round timings into each campaign's metrics
   // (SimulatorParams::phase_timers). Benches expose it as --phase-timers.
   bool phase_timers = false;
-  // Force the legacy one-user-at-a-time serial commit
-  // (SimulatorParams::legacy_commit). Bit-identity-neutral by construction;
-  // exists for the commit-equivalence suite and the commit-phase bench.
-  bool legacy_commit = false;
   // Cross-user plan memoization (SimulatorParams::memo): provably
   // equivalent selection instances within a round share one solve.
   // Campaigns stay bit-identical with it on or off; it only pays when many

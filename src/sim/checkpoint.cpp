@@ -62,7 +62,6 @@ Json params_to_json(const SimulatorParams& p) {
   o["reprice_threads"] = Json(p.reprice_threads);
   o["shards"] = Json(p.shards);
   o["phase_timers"] = Json(p.phase_timers);
-  o["legacy_commit"] = Json(p.legacy_commit);
   Json::Object memo;
   memo["enabled"] = Json(p.memo.enabled);
   memo["cell_size"] = Json(p.memo.cell_size);
@@ -102,9 +101,8 @@ SimulatorParams params_from_json(const Json& j) {
               "shards must be -1 (auto), 0 (legacy) or a worker count");
   }
   if (j.has("phase_timers")) p.phase_timers = j.at("phase_timers").as_bool();
-  if (j.has("legacy_commit")) {
-    p.legacy_commit = j.at("legacy_commit").as_bool();
-  }
+  // Payloads written before the per-user commit was retired may carry a
+  // "legacy_commit" flag; both commits were bit-identical, so it is ignored.
   const Json& jm = j.at("memo");
   p.memo.enabled = jm.at("enabled").as_bool();
   p.memo.cell_size = jm.at("cell_size").as_number();

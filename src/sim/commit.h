@@ -1,6 +1,9 @@
-// Deterministic shard-parallel commit for round-granularity mechanisms.
+// Deterministic shard-parallel commit — the only commit of all three
+// session loops. Round-granularity loops commit once per round over
+// contiguous visit-order segments; the intra-round loop commits every
+// session as a one-user segment.
 //
-// The legacy commit walked every user's planned tour serially in visit
+// The original commit walked every user's planned tour serially in visit
 // order, interleaving per-leg work that touches wildly scattered state: a
 // task-view lookup and a virtual reward() call per leg, a push into that
 // task's measurement vector, a contributor-bitset insert, a budget payment

@@ -48,26 +48,12 @@ double mono_seconds() {
       .count();
 }
 
-// The mechanism's reward table as a dense per-task-row snapshot when it
-// publishes one of the right size, else nullptr. The bulk phases below read
-// rows[i] from the contiguous array instead of paying a virtual
-// bounds-checked reward(id) call per task; mechanisms without a row-indexed
-// table (custom id-keyed ones) keep the virtual path.
-const std::vector<Money>* reward_rows_of(
-    const incentive::IncentiveMechanism& mechanism, std::size_t num_tasks) {
-  const std::vector<Money>* rows = mechanism.reward_rows();
-  return rows != nullptr && rows->size() == num_tasks ? rows : nullptr;
-}
-
 std::vector<bool> open_tasks(const model::World& world,
-                             const incentive::IncentiveMechanism& mechanism,
-                             Round k) {
-  const std::vector<Money>* rows = reward_rows_of(mechanism, world.num_tasks());
+                             const std::vector<Money>& price, Round k) {
   std::vector<bool> open(world.num_tasks(), false);
   for (std::size_t i = 0; i < world.num_tasks(); ++i) {
     const model::Task& t = world.tasks()[i];
-    const Money r = rows != nullptr ? (*rows)[i] : mechanism.reward(t.id());
-    open[i] = !t.completed() && !t.expired_at(k) && r > 0.0;
+    open[i] = !t.completed() && !t.expired_at(k) && price[i] > 0.0;
   }
   return open;
 }
@@ -79,21 +65,19 @@ std::vector<bool> open_tasks(const model::World& world,
 // mechanisms reprice between sessions — the pool only contributes the
 // candidate-distance block.
 std::shared_ptr<const select::CandidatePool> build_round_pool(
-    const model::World& world, const incentive::IncentiveMechanism& mechanism,
+    const model::World& world, const std::vector<Money>& price,
     const std::vector<bool>& open) {
-  const std::vector<Money>* rows = reward_rows_of(mechanism, world.num_tasks());
   std::vector<select::Candidate> candidates;
   for (std::size_t i = 0; i < world.num_tasks(); ++i) {
     if (!open[i]) continue;
     const model::Task& t = world.tasks()[i];
-    const Money r = rows != nullptr ? (*rows)[i] : mechanism.reward(t.id());
-    candidates.push_back({t.id(), t.location(), r});
+    candidates.push_back({t.id(), t.location(), price[i]});
   }
   return std::make_shared<const select::CandidatePool>(std::move(candidates));
 }
 
 select::SelectionInstance make_instance(
-    const model::World& world, const incentive::IncentiveMechanism& mechanism,
+    const model::World& world, const std::vector<Money>& price,
     const model::User& u, const std::vector<bool>& open,
     std::shared_ptr<const select::CandidatePool> pool, geo::Point start,
     Seconds time_budget) {
@@ -102,18 +86,13 @@ select::SelectionInstance make_instance(
   inst.travel = world.travel();
   inst.time_budget = time_budget;
   inst.pool = std::move(pool);
-  // Fetched per instance, so intra-round repricing between sessions is
-  // visible here too: the row table aliases the mechanism's live reward
-  // vector, it is not a copy.
-  const std::vector<Money>* rows = reward_rows_of(mechanism, world.num_tasks());
   std::int32_t pool_row = -1;
   for (std::size_t i = 0; i < world.num_tasks(); ++i) {
     if (!open[i]) continue;
     ++pool_row;  // every open task owns one pool row, contributed or not
     const model::Task& t = world.tasks()[i];
     if (t.has_contributed(u.id())) continue;
-    const Money reward =
-        rows != nullptr ? (*rows)[i] : mechanism.reward(t.id());
+    const Money reward = price[i];
     if (reward <= 0.0) continue;
     inst.candidates.push_back({t.id(), t.location(), reward});
     inst.pool_index.push_back(pool_row);
@@ -123,17 +102,31 @@ select::SelectionInstance make_instance(
 
 }  // namespace
 
+const std::vector<Money>& Simulator::prices() {
+  const std::vector<Money>* rows = mechanism_->reward_rows();
+  if (rows != nullptr && rows->size() == world_.num_tasks()) return *rows;
+  // Id-keyed table: one lookup per task row, by the row's id — ids need
+  // not be dense positions.
+  const model::TaskStore& ts = world_.task_store();
+  price_snapshot_.resize(ts.size());
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    price_snapshot_[i] = mechanism_->reward(ts.id[i]);
+  }
+  return price_snapshot_;
+}
+
 std::vector<select::SelectionInstance> Simulator::peek_instances() {
   MCS_CHECK(next_round_ <= params_.max_rounds, "campaign already over");
   const Round k = next_round_;
   mechanism_->update_rewards(world_, k);
-  std::vector<bool> open = open_tasks(world_, *mechanism_, k);
+  const std::vector<Money>& price = prices();
+  std::vector<bool> open = open_tasks(world_, price, k);
   apply_withdrawals(open, k);
-  const auto pool = build_round_pool(world_, *mechanism_, open);
+  const auto pool = build_round_pool(world_, price, open);
   std::vector<select::SelectionInstance> out;
   out.reserve(world_.num_users());
   for (const model::User& u : world_.users()) {
-    out.push_back(make_instance(world_, *mechanism_, u, open, pool, u.home(),
+    out.push_back(make_instance(world_, price, u, open, pool, u.home(),
                                 u.time_budget()));
   }
   return out;
@@ -161,66 +154,86 @@ bool Simulator::all_tasks_closed() const {
   return true;
 }
 
-void Simulator::commit_session(Round k, model::User& u, std::size_t pos,
-                               const select::Selection& sel, RoundMetrics& rm,
-                               std::vector<std::size_t>* dirty) {
-  const UserId uid = u.id();
+void Simulator::walk_tour(Round k, std::uint32_t pos,
+                          const select::Selection& sel,
+                          const std::vector<Money>& price, CommitSegment& seg,
+                          RoundMetrics& rm) {
+  model::UserStore& us = world_.user_store_mut();
+  const model::TaskStore& ts = world_.task_store();
+  const bool faults_on = faults_.enabled();
+  const UserId uid = us.id[pos];
 
   // Mid-tour abandonment: the user walks only the first `walked_legs`
   // legs of the planned tour and pays travel for those legs alone.
   const int planned_legs = static_cast<int>(sel.order.size());
   int walked_legs = planned_legs;
-  if (faults_.enabled()) {
+  if (faults_on) {
     walked_legs = faults_.legs_completed(uid, k, planned_legs);
-    if (walked_legs < planned_legs) ++rm.abandoned_tours;
+    if (walked_legs < planned_legs) ++seg.abandoned;
   }
 
   Money reward_earned = 0.0;
   Meters walked = 0.0;
-  geo::Point at = u.location();
+  geo::Point at = us.location[pos];
   for (int li = 0; li < walked_legs; ++li) {
     const TaskId id = sel.order[static_cast<std::size_t>(li)];
-    model::Task& t = world_.task(id);
-    const Money reward = mechanism_->reward(id);
-    const Meters leg = geo::euclidean(at, t.location());
+    const std::uint32_t row = ts.row_of(id);
+    MCS_ASSERT(row != model::kNoRow, "planned task id unknown to the world");
+    const Meters leg = geo::euclidean(at, ts.location[row]);
     walked += leg;
-    at = t.location();
-    if (faults_.enabled() && faults_.lose_upload(uid, id, k)) {
+    at = ts.location[row];
+    if (faults_on && faults_.lose_upload(uid, id, k)) {
       // The leg was walked but the upload never arrived: no payment, no
       // task progress, and the user is not marked as a contributor — a
       // later round may retry. The demand indicator keeps asking.
-      ++rm.lost_measurements;
-      rm.wasted_travel += leg;
-      events_.record({k, u.id(), id, 0.0, leg, /*accepted=*/false});
+      ++seg.lost;
+      seg.legs.push_back({row, uid, 0.0, leg, 0, 0});
       continue;
     }
-    const bool corrupted =
-        faults_.enabled() && faults_.corrupt_upload(uid, id, k);
-    t.add_measurement(u.id(), k, reward);
-    u.mark_contributed(id);
-    budget_.pay(reward);
+    const bool corrupted = faults_on && faults_.corrupt_upload(uid, id, k);
+    const Money reward = price[row];
+    us.contributed[pos].set(id);
     reward_earned += reward;
-    if (corrupted) ++rm.corrupted_measurements;
-    events_.record({k, u.id(), id, reward, leg, /*accepted=*/true,
-                    corrupted});
-    if (dirty != nullptr) {
-      // The task's vector position (tasks_ is contiguous): the dirty set
-      // speaks positions, matching the reprice() contract.
-      dirty->push_back(static_cast<std::size_t>(&t - world_.tasks().data()));
-    }
+    seg.paid.add(reward);
+    if (corrupted) ++seg.corrupted;
+    seg.legs.push_back({row, uid, reward, leg, 1,
+                        static_cast<std::uint8_t>(corrupted ? 1 : 0)});
+    seg.dirty_rows.set(row);
   }
-  u.set_location(at);
+  us.location[pos] = at;
 
   // A fully walked tour is charged the selector's own distance (keeps the
   // fault-free path bit-identical whatever accumulation a solver used);
   // an abandoned one pays for the walked prefix only.
   const Money cost = world_.travel().cost_for(
       walked_legs == planned_legs ? sel.distance : walked);
-  u.add_earnings(reward_earned, cost);
+  us.total_reward[pos] += reward_earned;
+  us.total_cost[pos] += cost;
   // Profit rows are indexed by the user's *position* in world().users(),
   // not by its id — ids need not be dense.
   rm.user_profit[pos] = reward_earned - cost;
-  if (walked_legs > 0) ++rm.active_users;
+  if (walked_legs > 0) ++seg.active;
+}
+
+void Simulator::merge_and_apply(Round k, RoundMetrics& rm) {
+  // Phase B: ordered merge — payments, events, wasted travel and fault
+  // counters replay in global visit order, bit-identical to the serial
+  // interleaving.
+  const std::vector<CommitSegment>& segments = commit_scratch_.segments;
+  const Money paid_before = budget_.spent();
+  merge_commit_segments(segments, k, world_.task_store(), budget_, events_, rm);
+  Money sub_total = 0.0;
+  for (const CommitSegment& seg : segments) sub_total += seg.paid.total();
+  const Money paid_delta = budget_.spent() - paid_before;
+  MCS_ASSERT(std::abs(paid_delta - sub_total) <=
+                 1e-6 * std::max(1.0, std::abs(paid_delta)),
+             "commit merge payment replay deviates from the sub-accounts");
+
+  // Phase C: task-grouped delivery apply.
+  const int workers =
+      plan_pool_ ? static_cast<int>(plan_selectors_.size()) : 1;
+  apply_commit_deliveries(segments, k, world_.task_store_mut(),
+                          commit_scratch_, plan_pool_.get(), workers);
 }
 
 void Simulator::commit_sessions(Round k,
@@ -228,42 +241,34 @@ void Simulator::commit_sessions(Round k,
                                 const std::vector<char>& dropped,
                                 const std::vector<select::Selection>& plans,
                                 const std::vector<char>& feasible,
-                                const std::vector<Money>& reward_row,
+                                const std::vector<Money>& price,
                                 RoundMetrics& rm) {
   const std::size_t n = visit_order.size();
-  model::UserStore& us = world_.user_store_mut();
   const model::TaskStore& ts = world_.task_store();
 
   // Sparse-id worlds resolve plan task ids through the store's hash index;
   // warm it here, serially, so the concurrent walkers only ever read a
   // fresh index (IdRowIndex's lazy rebuild is not safe to race).
-  bool dense_ids = true;
-  for (std::size_t i = 0; i < ts.size(); ++i) {
-    if (ts.id[i] != static_cast<TaskId>(i)) {
-      dense_ids = false;
-      break;
+  if (ts.row_index.built_size != ts.size()) {
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      if (ts.id[i] != static_cast<TaskId>(i)) {
+        ts.row_index.rebuild(ts.id);
+        break;
+      }
     }
-  }
-  if (!dense_ids && ts.row_index.built_size != ts.size()) {
-    ts.row_index.rebuild(ts.id);
   }
 
   const int workers =
       plan_pool_ ? static_cast<int>(plan_selectors_.size()) : 1;
   const std::size_t n_segs = std::max<std::size_t>(
       1, std::min<std::size_t>(static_cast<std::size_t>(workers), n));
-  if (commit_scratch_.segments.size() < n_segs) {
-    commit_scratch_.segments.resize(n_segs);
-  }
+  commit_scratch_.segments.resize(n_segs);
   for (CommitSegment& seg : commit_scratch_.segments) seg.clear();
 
   // Phase A: walk the tours into per-segment effect buffers. Everything a
   // walker writes is either private to its segment or private to its users'
-  // rows (location, contributed set, earnings, profit) — segments hold
-  // contiguous visit-order ranges, and a user appears in the visit order
-  // exactly once.
-  const bool faults_on = faults_.enabled();
-  const geo::TravelModel& travel = world_.travel();
+  // rows — segments hold contiguous visit-order ranges, and a user appears
+  // in the visit order exactly once.
   const auto walk_range = [&](CommitSegment& seg, std::size_t lo,
                               std::size_t hi) {
     for (std::size_t idx = lo; idx < hi; ++idx) {
@@ -273,49 +278,7 @@ void Simulator::commit_sessions(Round k,
         continue;
       }
       MCS_ASSERT(feasible[pos] != 0, "selector returned an infeasible tour");
-      const select::Selection& sel = plans[pos];
-      const UserId uid = us.id[pos];
-      const int planned_legs = static_cast<int>(sel.order.size());
-      int walked_legs = planned_legs;
-      if (faults_on) {
-        walked_legs = faults_.legs_completed(uid, k, planned_legs);
-        if (walked_legs < planned_legs) ++seg.abandoned;
-      }
-      Money reward_earned = 0.0;
-      Meters walked = 0.0;
-      geo::Point at = us.location[pos];
-      for (int li = 0; li < walked_legs; ++li) {
-        const TaskId id = sel.order[static_cast<std::size_t>(li)];
-        const std::uint32_t row =
-            dense_ids ? static_cast<std::uint32_t>(id) : ts.row_of(id);
-        MCS_ASSERT(row != model::kNoRow &&
-                       static_cast<std::size_t>(row) < ts.size(),
-                   "planned task id unknown to the world");
-        const Meters leg = geo::euclidean(at, ts.location[row]);
-        walked += leg;
-        at = ts.location[row];
-        if (faults_on && faults_.lose_upload(uid, id, k)) {
-          ++seg.lost;
-          seg.legs.push_back({row, uid, 0.0, leg, 0, 0});
-          continue;
-        }
-        const bool corrupted = faults_on && faults_.corrupt_upload(uid, id, k);
-        const Money reward = reward_row[row];
-        us.contributed[pos].set(id);
-        reward_earned += reward;
-        seg.paid.add(reward);
-        if (corrupted) ++seg.corrupted;
-        seg.legs.push_back({row, uid, reward, leg, 1,
-                            static_cast<std::uint8_t>(corrupted ? 1 : 0)});
-        seg.dirty_rows.set(row);
-      }
-      us.location[pos] = at;
-      const Money cost = travel.cost_for(
-          walked_legs == planned_legs ? sel.distance : walked);
-      us.total_reward[pos] += reward_earned;
-      us.total_cost[pos] += cost;
-      rm.user_profit[pos] = reward_earned - cost;
-      if (walked_legs > 0) ++seg.active;
+      walk_tour(k, pos, plans[pos], price, seg, rm);
     }
   };
 
@@ -335,24 +298,7 @@ void Simulator::commit_sessions(Round k,
     }
     plan_pool_->wait_idle();
   }
-
-  // Phase B: ordered merge — payments, events, wasted travel and fault
-  // counters replay in global visit order, bit-identical to the serial
-  // interleaving.
-  const Money paid_before = budget_.spent();
-  merge_commit_segments(commit_scratch_.segments, k, ts, budget_, events_, rm);
-  Money sub_total = 0.0;
-  for (const CommitSegment& seg : commit_scratch_.segments) {
-    sub_total += seg.paid.total();
-  }
-  const Money paid_delta = budget_.spent() - paid_before;
-  MCS_ASSERT(std::abs(paid_delta - sub_total) <=
-                 1e-6 * std::max(1.0, std::abs(paid_delta)),
-             "commit merge payment replay deviates from the sub-accounts");
-
-  // Phase C: task-grouped delivery apply.
-  apply_commit_deliveries(commit_scratch_.segments, k, world_.task_store_mut(),
-                          commit_scratch_, plan_pool_.get(), workers);
+  merge_and_apply(k, rm);
 }
 
 void Simulator::run_sessions_intra_round(
@@ -366,6 +312,8 @@ void Simulator::run_sessions_intra_round(
   const bool timed = params_.phase_timers;
   double t0 = 0.0;
   std::vector<std::size_t> dirty;
+  commit_scratch_.segments.resize(1);
+  CommitSegment& seg = commit_scratch_.segments[0];
   for (const std::uint32_t pos : visit_order) {
     if (timed) t0 = mono_seconds();
     model::User& u = world_.users()[pos];
@@ -387,16 +335,14 @@ void Simulator::run_sessions_intra_round(
 
     if (timed) t0 = mono_seconds();
     mechanism_->reprice(world_, k, dirty);
-    dirty.clear();
+    const std::vector<Money>& price = prices();
     // What this session was actually offered: the round's open tasks at
     // their freshly published prices (price 0 = withdrawn, not published).
     double session_sum = 0.0;
     int session_open = 0;
     for (std::size_t i = 0; i < world_.num_tasks(); ++i) {
-      if (!open[i]) continue;
-      const Money reward = mechanism_->reward(world_.tasks()[i].id());
-      if (reward <= 0.0) continue;
-      session_sum += reward;
+      if (!open[i] || price[i] <= 0.0) continue;
+      session_sum += price[i];
       ++session_open;
     }
     if (session_open > 0) {
@@ -409,7 +355,7 @@ void Simulator::run_sessions_intra_round(
     }
 
     const select::SelectionInstance inst = make_instance(
-        world_, *mechanism_, u, open, pool, u.location(), u.time_budget());
+        world_, price, u, open, pool, u.location(), u.time_budget());
     const select::Selection sel = selector_->select(inst);
     MCS_ASSERT(select::is_feasible(inst, sel),
                "selector returned an infeasible tour");
@@ -417,7 +363,13 @@ void Simulator::run_sessions_intra_round(
       phase_.plan += mono_seconds() - t0;
       t0 = mono_seconds();
     }
-    commit_session(k, u, pos, sel, rm, &dirty);
+    // The session commits as a one-user segment at the prices it was just
+    // offered; the rows it delivered to become the next reprice's dirty set.
+    seg.clear();
+    walk_tour(k, pos, sel, price, seg, rm);
+    merge_and_apply(k, rm);
+    dirty.assign(commit_scratch_.dirty_row_list.begin(),
+                 commit_scratch_.dirty_row_list.end());
     if (timed) phase_.commit += mono_seconds() - t0;
   }
 }
@@ -444,7 +396,8 @@ bool Simulator::ensure_plan_workers(int threads) {
 void Simulator::solve_positions(
     const std::vector<std::uint32_t>& positions, const std::vector<bool>& open,
     const std::shared_ptr<const select::CandidatePool>& pool,
-    std::vector<select::Selection>& plans, std::vector<char>& feasible) {
+    const std::vector<Money>& price, std::vector<select::Selection>& plans,
+    std::vector<char>& feasible) {
   // Prices, the open set and the pool are frozen for the whole round, and a
   // user's instance depends only on that frozen state plus the user's own
   // location and contributed set — nothing another user's session changes.
@@ -455,7 +408,7 @@ void Simulator::solve_positions(
                              std::size_t pos) {
     const model::User& u = world_.users()[pos];
     const select::SelectionInstance inst = make_instance(
-        world_, *mechanism_, u, open, pool, u.location(), u.time_budget());
+        world_, price, u, open, pool, u.location(), u.time_budget());
     plans[pos] = solver.select(inst);
     feasible[pos] = select::is_feasible(inst, plans[pos]) ? 1 : 0;
   };
@@ -482,6 +435,7 @@ void Simulator::solve_positions(
 void Simulator::run_sessions_planned(
     Round k, const std::vector<bool>& open,
     const std::shared_ptr<const select::CandidatePool>& pool,
+    const std::vector<Money>& price,
     const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm) {
   const std::size_t n_users = world_.num_users();
   const bool timed = params_.phase_timers;
@@ -512,7 +466,7 @@ void Simulator::run_sessions_planned(
     for (std::size_t pos = 0; pos < n_users; ++pos) {
       if (!dropped[pos]) to_plan.push_back(static_cast<std::uint32_t>(pos));
     }
-    solve_positions(to_plan, open, pool, plans, feasible);
+    solve_positions(to_plan, open, pool, price, plans, feasible);
   } else {
     // Memoized plan phase (select/plan_memo.h), three deterministic phases.
     //
@@ -531,7 +485,7 @@ void Simulator::run_sessions_planned(
       if (dropped[pos]) continue;
       const model::User& u = world_.users()[pos];
       const select::SelectionInstance inst = make_instance(
-          world_, *mechanism_, u, open, pool, u.location(), u.time_budget());
+          world_, price, u, open, pool, u.location(), u.time_budget());
       tickets[pos] = plan_memo_.classify(inst, exact_limit);
       if (tickets[pos].outcome == select::PlanMemo::Outcome::kOwner) {
         owners.push_back(static_cast<std::uint32_t>(pos));
@@ -539,7 +493,7 @@ void Simulator::run_sessions_planned(
     }
 
     // Phase 2 — owners solve concurrently; the memo is untouched.
-    solve_positions(owners, open, pool, plans, feasible);
+    solve_positions(owners, open, pool, price, plans, feasible);
 
     // Phase 3 — serial, position order again: owners publish, exact hits
     // copy (the owner's position is smaller, so its plan is published by
@@ -569,7 +523,7 @@ void Simulator::run_sessions_planned(
         }
       }
     }
-    solve_positions(fallback, open, pool, plans, feasible);
+    solve_positions(fallback, open, pool, price, plans, feasible);
   }
   if (timed) {
     phase_.plan += mono_seconds() - t0;
@@ -578,35 +532,9 @@ void Simulator::run_sessions_planned(
 
   // Commit phase: payments, deliveries, events and the remaining fault
   // draws (abandonment, upload loss/corruption: pure hashes) replay exactly
-  // as the legacy serial loop would — through the buffered walk/merge/apply
-  // pipeline (sim/commit.h), or one user at a time under the debug oracle.
-  if (params_.legacy_commit) {
-    for (const std::uint32_t pos : visit_order) {
-      if (dropped[pos]) {
-        ++rm.dropped_users;
-        continue;
-      }
-      MCS_ASSERT(feasible[pos] != 0, "selector returned an infeasible tour");
-      commit_session(k, world_.users()[pos], pos, plans[pos], rm,
-                     /*dirty=*/nullptr);
-    }
-  } else {
-    // Freeze the round prices into a dense per-row snapshot — straight from
-    // the mechanism's row table when it publishes one, else one virtual
-    // reward() call per open task (instead of one per walked leg).
-    const model::TaskStore& ts = world_.task_store();
-    const std::vector<Money>* rows =
-        reward_rows_of(*mechanism_, world_.num_tasks());
-    commit_reward_.assign(world_.num_tasks(), 0.0);
-    for (std::size_t i = 0; i < world_.num_tasks(); ++i) {
-      if (open[i]) {
-        commit_reward_[i] =
-            rows != nullptr ? (*rows)[i] : mechanism_->reward(ts.id[i]);
-      }
-    }
-    commit_sessions(k, visit_order, dropped, plans, feasible, commit_reward_,
-                    rm);
-  }
+  // as a one-user-at-a-time loop in visit order would, through the buffered
+  // walk/merge/apply pipeline (sim/commit.h), at the frozen round prices.
+  commit_sessions(k, visit_order, dropped, plans, feasible, price, rm);
   if (timed) phase_.commit += mono_seconds() - t0;
 }
 
@@ -622,7 +550,7 @@ Meters Simulator::shard_cell_size() const {
 }
 
 bool Simulator::run_sessions_sharded(
-    Round k, const std::vector<bool>& open,
+    Round k, const std::vector<bool>& open, const std::vector<Money>& price,
     const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm) {
   const int workers = std::max(shard_worker_count(), 1);
   const bool pooled_workers = workers > 1;
@@ -765,20 +693,11 @@ bool Simulator::run_sessions_sharded(
     }
   }
 
-  // --- Frozen round state: prices cached per task position (read from the
-  // mechanism's dense row table when it publishes one; else one virtual
-  // call per open task instead of one per candidate per user) and a spatial
-  // index over the open tasks for reach-local candidate gathering.
-  const std::vector<Money>* price_rows = reward_rows_of(*mechanism_, n_tasks);
-  shard_reward_.assign(n_tasks, 0.0);
+  // --- Frozen round state: a spatial index over the open tasks (every one
+  // carries a positive round price) for reach-local candidate gathering.
   geo::SpatialGrid task_grid(area, cell);
   for (std::size_t i = 0; i < n_tasks; ++i) {
-    if (!open[i]) continue;
-    const Money r =
-        price_rows != nullptr ? (*price_rows)[i] : mechanism_->reward(ts.id[i]);
-    if (r <= 0.0) continue;
-    shard_reward_[i] = r;
-    task_grid.insert(static_cast<std::int32_t>(i), ts.location[i]);
+    if (open[i]) task_grid.insert(static_cast<std::int32_t>(i), ts.location[i]);
   }
   if (timed) {
     phase_.prepass += mono_seconds() - t0;
@@ -840,8 +759,7 @@ bool Simulator::run_sessions_sharded(
           const auto ti = static_cast<std::size_t>(t);
           if (geo::euclidean(inst.start, ts.location[ti]) > reach) continue;
           if (u.has_contributed(ts.id[ti])) continue;
-          inst.candidates.push_back(
-              {ts.id[ti], ts.location[ti], shard_reward_[ti]});
+          inst.candidates.push_back({ts.id[ti], ts.location[ti], price[ti]});
         }
         if (memo == nullptr) {
           shard_plans_[pos] = solver.select(inst);
@@ -932,25 +850,10 @@ bool Simulator::run_sessions_sharded(
     t0 = mono_seconds();
   }
 
-  // --- Commit: bit-identical to the legacy serial visit-order loop, via
-  // the buffered walk/merge/apply pipeline (sim/commit.h) — or the loop
-  // itself under the debug oracle. shard_reward_ already holds the frozen
-  // per-row prices every plan of this round was computed against.
-  if (params_.legacy_commit) {
-    for (const std::uint32_t pos : visit_order) {
-      if (shard_dropped_[pos] != 0) {
-        ++rm.dropped_users;
-        continue;
-      }
-      MCS_ASSERT(shard_feasible_[pos] != 0,
-                 "selector returned an infeasible tour");
-      commit_session(k, world_.users()[pos], pos, shard_plans_[pos], rm,
-                     /*dirty=*/nullptr);
-    }
-  } else {
-    commit_sessions(k, visit_order, shard_dropped_, shard_plans_,
-                    shard_feasible_, shard_reward_, rm);
-  }
+  // --- Commit: the buffered walk/merge/apply pipeline (sim/commit.h) at
+  // the frozen round prices every plan of this round was computed against.
+  commit_sessions(k, visit_order, shard_dropped_, shard_plans_,
+                  shard_feasible_, price, rm);
   if (timed) phase_.commit += mono_seconds() - t0;
   return true;
 }
@@ -991,6 +894,7 @@ const RoundMetrics& Simulator::step() {
   }
   mechanism_->update_rewards(world_, k);
   if (timed) phase_.reprice += mono_seconds() - t0;
+  const std::vector<Money>& price = prices();
 
   // Which tasks are open when the round begins. For round-granularity
   // mechanisms, selections are made against this snapshot and every
@@ -998,7 +902,7 @@ const RoundMetrics& Simulator::step() {
   // before each user session, but a task that completes mid-round likewise
   // stays deliverable for the users of this round. Glitched tasks leave the
   // set before anything is published.
-  std::vector<bool> open = open_tasks(world_, *mechanism_, k);
+  std::vector<bool> open = open_tasks(world_, price, k);
 
   RoundMetrics rm;
   rm.round = k;
@@ -1008,16 +912,9 @@ const RoundMetrics& Simulator::step() {
   // mechanisms these are exactly the prices every user of the round faces;
   // intra-round mechanisms reprice before each session, so their published
   // mean is re-recorded from the session prices below.
-  const std::vector<Money>* price_rows =
-      reward_rows_of(*mechanism_, world_.num_tasks());
   for (std::size_t i = 0; i < world_.num_tasks(); ++i) {
     if (!open[i]) continue;
-    // Without a row snapshot, query by the task's id, not its vector
-    // position — ids need not be dense (same bug class as the
-    // DemandIndicator position/id mixup).
-    rm.mean_open_reward += price_rows != nullptr
-                               ? (*price_rows)[i]
-                               : mechanism_->reward(world_.tasks()[i].id());
+    rm.mean_open_reward += price[i];
     ++rm.open_tasks;
   }
   if (rm.open_tasks > 0) rm.mean_open_reward /= rm.open_tasks;
@@ -1043,13 +940,14 @@ const RoundMetrics& Simulator::step() {
   // (3)+(4) Every user selects and performs a task set. The sharded loop
   // gathers candidates from a spatial index, so only the legacy paths pay
   // for the dense O(open^2) CandidatePool.
-  if (!want_sharded || !run_sessions_sharded(k, open, visit_order, rm)) {
-    const auto pool = build_round_pool(world_, *mechanism_, open);
+  if (!want_sharded ||
+      !run_sessions_sharded(k, open, price, visit_order, rm)) {
+    const auto pool = build_round_pool(world_, price, open);
     if (intra_round) {
       run_sessions_intra_round(k, open, pool, visit_order, rm,
                                session_mean_sum, priced_sessions);
     } else {
-      run_sessions_planned(k, open, pool, visit_order, rm);
+      run_sessions_planned(k, open, pool, price, visit_order, rm);
     }
   }
 

@@ -91,13 +91,6 @@ struct SimulatorParams {
   // plan / reprice / commit) into CampaignMetrics. Off by default: the
   // timer reads are cheap but nonzero, and the fields are diagnostics.
   bool phase_timers = false;
-  // Debug oracle: force the legacy one-user-at-a-time serial commit instead
-  // of the buffered walk/merge/apply pipeline (sim/commit.h) on the planned
-  // and sharded paths. The two commits are bit-identical by construction —
-  // this knob exists so the CommitEquivalence suite can pin that claim and
-  // so BM_CampaignCommit can measure the old path. Intra-round mechanisms
-  // always use the legacy per-session commit (they reprice mid-round).
-  bool legacy_commit = false;
   // Cross-user plan memoization for the planning phase (select/plan_memo.h):
   // users of one round whose selection instances are provably equivalent
   // share one solve. Off by default; when memo.enabled the campaign stays
@@ -184,9 +177,17 @@ class Simulator {
   /// how many were withdrawn. No-op without faults.
   int apply_withdrawals(std::vector<bool>& open, Round k) const;
 
+  /// The mechanism's current prices as a dense per-task-row table: its own
+  /// reward_rows() when it publishes one, else a snapshot filled through the
+  /// id-keyed reward(id). Every bulk phase and every intra-round session
+  /// reads prices through this one table. Valid until the next pricing call
+  /// or the next prices() call.
+  const std::vector<Money>& prices();
+
   /// Serial session loop for intra-round mechanisms: mobility, dropout,
   /// incremental reprice (dirty set = tasks the previous session touched),
-  /// plan and commit, one user at a time in visit order.
+  /// plan and commit, one user at a time in visit order. Each session
+  /// commits as a one-user segment through the buffered pipeline.
   void run_sessions_intra_round(
       Round k, const std::vector<bool>& open,
       const std::shared_ptr<const select::CandidatePool>& pool,
@@ -199,9 +200,11 @@ class Simulator {
   /// plan is computed concurrently against the frozen round state, then
   /// deliveries, payments and the remaining fault draws commit serially in
   /// visit order. Bit-identical to the serial loop at any thread count.
+  /// `price` is the round's frozen prices() table.
   void run_sessions_planned(
       Round k, const std::vector<bool>& open,
       const std::shared_ptr<const select::CandidatePool>& pool,
+      const std::vector<Money>& price,
       const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm);
 
   /// Sharded session loop (SimulatorParams::shards): pre-pass and planning
@@ -209,6 +212,7 @@ class Simulator {
   /// Returns false when the selector cannot clone() — the caller then
   /// builds the round pool and takes the legacy planned path.
   bool run_sessions_sharded(Round k, const std::vector<bool>& open,
+                            const std::vector<Money>& price,
                             const std::vector<std::uint32_t>& visit_order,
                             RoundMetrics& rm);
 
@@ -221,25 +225,30 @@ class Simulator {
   /// pure function of the world geometry, never of the worker count.
   Meters shard_cell_size() const;
 
-  /// Walk user `pos`'s planned tour: abandonment/upload fault draws,
-  /// deliveries, payments, event records and the user's profit row. When
-  /// `dirty` is non-null, the positions of tasks that gained a measurement
-  /// are appended (feeds the next session's incremental reprice).
-  void commit_session(Round k, model::User& u, std::size_t pos,
-                      const select::Selection& sel, RoundMetrics& rm,
-                      std::vector<std::size_t>* dirty);
+  /// Commit phase A for one user (sim/commit.h): walk `pos`'s planned tour
+  /// — abandonment/upload fault draws, the user's own rows (location,
+  /// contributed set, earnings, profit) — and record every walked leg into
+  /// `seg`, paid at the published per-row `price`. Writes only `pos`'s rows
+  /// and `seg`, so disjoint segments walk concurrently.
+  void walk_tour(Round k, std::uint32_t pos, const select::Selection& sel,
+                 const std::vector<Money>& price, CommitSegment& seg,
+                 RoundMetrics& rm);
 
-  /// Buffered commit (sim/commit.h): walk every surviving user's tour into
-  /// per-segment effect buffers (fanned over the plan workers when
-  /// present), replay payments/events/wasted-travel in global visit order,
-  /// then apply deliveries grouped by task row. `reward_row` is the frozen
-  /// round price per task row (plans only reference rows it covers).
-  /// Bit-identical to the legacy serial commit loop at any worker count.
+  /// Commit phases B and C over the walked segments: replay payments,
+  /// events and wasted travel in segment (= visit) order, then apply
+  /// deliveries grouped by task row. The touched rows are left in
+  /// commit_scratch_.dirty_row_list.
+  void merge_and_apply(Round k, RoundMetrics& rm);
+
+  /// Buffered batch commit: walk every surviving user's tour into
+  /// contiguous visit-order segments (fanned over the plan workers when
+  /// present), then merge_and_apply(). Bit-identical to committing the same
+  /// users one at a time in visit order, at any worker count.
   void commit_sessions(Round k, const std::vector<std::uint32_t>& visit_order,
                        const std::vector<char>& dropped,
                        const std::vector<select::Selection>& plans,
                        const std::vector<char>& feasible,
-                       const std::vector<Money>& reward_row, RoundMetrics& rm);
+                       const std::vector<Money>& price, RoundMetrics& rm);
 
   /// Lazily build the plan pool plus one selector clone per worker
   /// (selectors' scratch arenas are not reentrant — DESIGN.md §7). Returns
@@ -252,6 +261,7 @@ class Simulator {
   void solve_positions(const std::vector<std::uint32_t>& positions,
                        const std::vector<bool>& open,
                        const std::shared_ptr<const select::CandidatePool>& pool,
+                       const std::vector<Money>& price,
                        std::vector<select::Selection>& plans,
                        std::vector<char>& feasible);
 
@@ -286,16 +296,15 @@ class Simulator {
   std::vector<std::uint32_t> shard_cell_of_;   // cell id per user position
   std::vector<std::uint32_t> shard_cell_start_;  // CSR offsets, n_cells + 1
   std::vector<std::uint32_t> shard_users_;     // positions grouped by cell
-  std::vector<Money> shard_reward_;            // round-start price per task
   std::vector<select::Selection> shard_plans_;
   std::vector<char> shard_feasible_;
   // Per-worker cell histograms for the two-pass parallel bucketing
   // (workers × n_cells, count pass then scatter cursors).
   std::vector<std::uint32_t> shard_bucket_counts_;
-  // Buffered-commit scratch (sim/commit.h) and the planned path's frozen
-  // per-row price snapshot.
+  // Buffered-commit scratch (sim/commit.h).
   CommitScratch commit_scratch_;
-  std::vector<Money> commit_reward_;
+  // prices() table for mechanisms without a row-indexed reward table.
+  std::vector<Money> price_snapshot_;
   // Cumulative phase timers (params_.phase_timers; see CampaignMetrics).
   struct PhaseSeconds {
     double prepass = 0.0;

@@ -8,6 +8,8 @@
 // have.
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <optional>
 #include <string>
@@ -192,8 +194,7 @@ TEST(CheckpointResume, CheckpointCarriesItsOwnSimulatorParams) {
 }
 
 // Phase timers travel through the envelope: a resumed campaign's summary
-// reports whole-campaign phase times, not just the post-resume slice, and
-// the serialized params carry the legacy_commit oracle knob.
+// reports whole-campaign phase times, not just the post-resume slice.
 TEST(CheckpointResume, PhaseTimersCarriedThroughCheckpoint) {
   Rng rng(4242);
   model::World world = generate_world(scenario(), rng);
@@ -204,7 +205,6 @@ TEST(CheckpointResume, PhaseTimersCarriedThroughCheckpoint) {
   SimulatorParams sp = make_params(/*faults=*/false, /*plan_threads=*/1,
                                    /*memo=*/false);
   sp.phase_timers = true;
-  sp.legacy_commit = true;
   sp.reprice_threads = 3;
   Simulator s(std::move(world), std::move(mechanism),
               select::make_selector(select::SelectorKind::kDp, 14), sp);
@@ -213,7 +213,6 @@ TEST(CheckpointResume, PhaseTimersCarriedThroughCheckpoint) {
   const std::string bytes = encode_checkpoint(s.checkpoint());
   const CampaignCheckpoint back = decode_checkpoint(bytes);
   EXPECT_TRUE(back.params.phase_timers);
-  EXPECT_TRUE(back.params.legacy_commit);
   // reprice_threads rides the same params envelope (it is bit-identity-
   // neutral, but the checkpoint pins the knobs it ran with).
   EXPECT_EQ(back.params.reprice_threads, 3);
@@ -248,6 +247,37 @@ TEST(CheckpointResume, PayloadWithoutPhaseSecondsDecodesWithZeros) {
   EXPECT_EQ(back.phase_reprice_s, 0.0);
   EXPECT_EQ(back.phase_commit_s, 0.0);
   EXPECT_EQ(back.next_round, 2);
+}
+
+// A golden payload written before the per-user commit knob was retired:
+// on-demand, stress faults, DP, checkpointed after round 3, with
+// "legacy_commit": true in its params. Decoding must ignore the key — with
+// either value — and the resumed campaign must be bit-identical to the
+// straight run.
+TEST(CheckpointResume, LegacyCommitPayloadResumesBitIdentical) {
+  std::ifstream in(std::string(MCS_TEST_DATA_DIR) +
+                       "/checkpoint_v1_legacy_commit.ckpt",
+                   std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const CampaignRun straight =
+      run_straight(incentive::MechanismKind::kOnDemand, true, 1, false);
+
+  Json payload = Json::parse(bytes.substr(bytes.find('\n') + 1));
+  ASSERT_TRUE(payload.at("params").at("legacy_commit").as_bool());
+  for (const bool flag : {true, false}) {
+    SCOPED_TRACE(flag ? "legacy_commit=true" : "legacy_commit=false");
+    payload["params"]["legacy_commit"] = Json(flag);
+    const CampaignCheckpoint ckpt =
+        flag ? decode_checkpoint(bytes) : checkpoint_from_json(payload);
+    EXPECT_EQ(ckpt.next_round, 4);
+    Simulator s = Simulator::resume(
+        ckpt, fresh_mechanism(incentive::MechanismKind::kOnDemand),
+        select::make_selector(select::SelectorKind::kDp, 14));
+    s.run();
+    expect_bit_identical(straight, finish(s));
+  }
 }
 
 TEST(CheckpointResume, MechanismNameMismatchRejected) {

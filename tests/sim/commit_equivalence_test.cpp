@@ -1,12 +1,20 @@
-// The buffered commit pipeline's contract (sim/commit.h): campaigns
-// committed through the walk/merge/apply pipeline are bit-identical to the
-// legacy one-user-at-a-time serial commit (SimulatorParams::legacy_commit)
-// — spend down to the budget tracker's compensation word, deliveries,
+// The buffered commit pipeline's contract (sim/commit.h): round-granularity
+// campaigns committed in batches — contiguous visit-order segments walked
+// concurrently, merged and applied once per round — are bit-identical to
+// committing the same users serially, one user at a time in visit order —
+// spend down to the budget tracker's compensation word, deliveries,
 // per-task measurement order, the event trace and every round metric — at
 // any shard or plan-thread count. Runs under TSan in tier-1: phase A walks
 // and the phase C row apply are concurrent regions over the world's stores.
+//
+// The serial reference is the intra-round session loop, which commits every
+// session as a one-user segment. FrozenPriceSessions drives it with a
+// round-granularity mechanism: it claims updates_within_round() but its
+// reprice() is a no-op, so every session sees the round-start prices the
+// batch paths plan and pay against.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -25,6 +33,46 @@
 namespace mcs::sim {
 namespace {
 
+// Forwards pricing to a round-granularity mechanism but takes the
+// intra-round session loop with frozen prices. The simulator reads prices
+// through the base class's non-virtual reward_rows(), so the adapter
+// mirrors the inner reward table after every pricing call.
+class FrozenPriceSessions final : public incentive::IncentiveMechanism {
+ public:
+  explicit FrozenPriceSessions(
+      std::unique_ptr<incentive::IncentiveMechanism> inner)
+      : inner_(std::move(inner)) {
+    mirror();
+  }
+
+  const char* name() const override { return inner_->name(); }
+
+  void update_rewards(const model::World& world, Round k) override {
+    inner_->update_rewards(world, k);
+    mirror();
+  }
+
+  bool updates_within_round() const override { return true; }
+
+  void reprice(const model::World&, Round,
+               const std::vector<std::size_t>&) override {}
+
+  Json state_to_json() const override { return inner_->state_to_json(); }
+
+  void restore_state(const Json& state) override {
+    inner_->restore_state(state);
+    mirror();
+  }
+
+ private:
+  void mirror() {
+    rewards_ = inner_->rewards();
+    rewards_by_row_ = inner_->reward_rows() != nullptr;
+  }
+
+  std::unique_ptr<incentive::IncentiveMechanism> inner_;
+};
+
 FaultPlan stress_faults() {
   FaultPlan f;
   f.dropout_prob = 0.15;
@@ -39,7 +87,7 @@ struct RunKnobs {
   incentive::MechanismKind kind = incentive::MechanismKind::kOnDemand;
   select::SelectorKind selector = select::SelectorKind::kDp;
   bool faults = false;
-  bool legacy_commit = false;
+  bool serial_reference = false;  // wrap in FrozenPriceSessions
   int shards = 0;
   int plan_threads = 1;
 };
@@ -74,102 +122,133 @@ CampaignRun finish(const Simulator& s) {
   return out;
 }
 
+SimulatorParams make_params(const RunKnobs& k, Round max_rounds) {
+  SimulatorParams sp;
+  sp.max_rounds = max_rounds;
+  sp.shards = k.shards;
+  sp.plan_threads = k.plan_threads;
+  sp.record_events = true;  // pins the event-trace order, not just totals
+  if (k.faults) sp.faults = stress_faults();
+  return sp;
+}
+
+CampaignRun run_world(model::World world,
+                      std::unique_ptr<incentive::IncentiveMechanism> mechanism,
+                      const RunKnobs& k, Round max_rounds) {
+  if (k.serial_reference) {
+    mechanism = std::make_unique<FrozenPriceSessions>(std::move(mechanism));
+  }
+  Simulator s(std::move(world), std::move(mechanism),
+              select::make_selector(k.selector, 14), make_params(k, max_rounds));
+  s.run();
+  return finish(s);
+}
+
 CampaignRun run_campaign(const RunKnobs& k) {
   Rng rng(4242);
   model::World world = generate_world(scenario(), rng);
   Rng mech_rng = rng.split(0xfeed);
   auto mechanism = incentive::make_mechanism(k.kind, world, {}, mech_rng);
-  auto selector = select::make_selector(k.selector, 14);
-  SimulatorParams sp;
-  sp.max_rounds = 8;
-  sp.shards = k.shards;
-  sp.plan_threads = k.plan_threads;
-  sp.legacy_commit = k.legacy_commit;
-  sp.record_events = true;  // pins the event-trace order, not just totals
-  if (k.faults) sp.faults = stress_faults();
-  Simulator s(std::move(world), std::move(mechanism), std::move(selector),
-              sp);
-  s.run();
-  return finish(s);
+  return run_world(std::move(world), std::move(mechanism), k, 8);
 }
 
-void expect_bit_identical(const CampaignRun& a, const CampaignRun& b) {
-  EXPECT_EQ(a.world_json, b.world_json);
-  EXPECT_EQ(a.spent, b.spent);
-  EXPECT_EQ(a.spent_raw, b.spent_raw);
-  EXPECT_EQ(a.spent_comp, b.spent_comp);
-  EXPECT_EQ(a.events_json, b.events_json);
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t k = 0; k < a.rounds.size(); ++k) {
-    EXPECT_EQ(rounds_to_json({a.rounds[k]}).dump(),
-              rounds_to_json({b.rounds[k]}).dump())
+CampaignRun serial_reference(RunKnobs k) {
+  k.serial_reference = true;
+  k.shards = 0;
+  k.plan_threads = 1;
+  return run_campaign(k);
+}
+
+// Everything bit-identical except mean_open_reward: the session loop
+// averages the (identical) per-session means instead of recording the
+// round-start mean once, which may round differently in the last ulp.
+void expect_bit_identical(const CampaignRun& ref, const CampaignRun& b) {
+  EXPECT_EQ(ref.world_json, b.world_json);
+  EXPECT_EQ(ref.spent, b.spent);
+  EXPECT_EQ(ref.spent_raw, b.spent_raw);
+  EXPECT_EQ(ref.spent_comp, b.spent_comp);
+  EXPECT_EQ(ref.events_json, b.events_json);
+  ASSERT_EQ(ref.rounds.size(), b.rounds.size());
+  for (std::size_t k = 0; k < ref.rounds.size(); ++k) {
+    RoundMetrics x = ref.rounds[k];
+    RoundMetrics y = b.rounds[k];
+    EXPECT_NEAR(x.mean_open_reward, y.mean_open_reward,
+                1e-12 * std::max(1.0, y.mean_open_reward))
+        << "round " << k;
+    x.mean_open_reward = y.mean_open_reward = 0.0;
+    EXPECT_EQ(rounds_to_json({x}).dump(), rounds_to_json({y}).dump())
         << "round " << k;
   }
 }
 
-// {fixed, on-demand, steered} x {clean, faulted} x shards {0, 1, 2, 8,
-// auto}: the buffered commit against the legacy serial commit on the same
-// configuration. Steered is intra-round — both runs take the per-session
-// commit there, pinning that legacy_commit is a documented no-op.
+// {fixed, on-demand} x {clean, faulted} x shards {0, 1, 2, 8, auto}: the
+// batch commit against the serial one-user-at-a-time reference.
 TEST(CommitEquivalence, BufferedCommitMatchesLegacySerialBitIdentical) {
   for (const auto kind :
-       {incentive::MechanismKind::kFixed, incentive::MechanismKind::kOnDemand,
-        incentive::MechanismKind::kSteered}) {
+       {incentive::MechanismKind::kFixed, incentive::MechanismKind::kOnDemand}) {
     for (const bool faults : {false, true}) {
+      RunKnobs k;
+      k.kind = kind;
+      k.faults = faults;
+      const CampaignRun reference = serial_reference(k);
+      EXPECT_GT(reference.spent, 0.0);
       for (const int shards : {0, 1, 2, 8, SimulatorParams::kAutoShards}) {
         SCOPED_TRACE(std::string(incentive::mechanism_name(kind)) +
                      (faults ? "/faults" : "/clean") + "/shards=" +
                      std::to_string(shards));
-        RunKnobs k;
-        k.kind = kind;
-        k.faults = faults;
         k.shards = shards;
-        k.legacy_commit = true;
-        const CampaignRun legacy = run_campaign(k);
-        k.legacy_commit = false;
-        expect_bit_identical(legacy, run_campaign(k));
+        expect_bit_identical(reference, run_campaign(k));
       }
     }
   }
 }
 
 // The planned (non-sharded) path with plan workers: phase A fans the walk
-// over the plan pool, so the buffered commit must stay bit-identical to the
-// serial legacy commit at any plan-thread count.
+// over the plan pool, so the batch commit must stay bit-identical to the
+// serial reference at any plan-thread count.
 TEST(CommitEquivalence, PlannedPathParallelWalkMatchesLegacy) {
-  for (const bool faults : {false, true}) {
-    RunKnobs k;
-    k.faults = faults;
-    k.legacy_commit = true;
-    const CampaignRun legacy = run_campaign(k);
-    for (const int plan_threads : {1, 4}) {
-      SCOPED_TRACE(std::string(faults ? "faults" : "clean") +
-                   "/plan_threads=" + std::to_string(plan_threads));
-      k.legacy_commit = false;
-      k.plan_threads = plan_threads;
-      expect_bit_identical(legacy, run_campaign(k));
+  for (const auto kind :
+       {incentive::MechanismKind::kFixed, incentive::MechanismKind::kOnDemand}) {
+    for (const bool faults : {false, true}) {
+      RunKnobs k;
+      k.kind = kind;
+      k.faults = faults;
+      const CampaignRun reference = serial_reference(k);
+      for (const int plan_threads : {1, 4}) {
+        SCOPED_TRACE(std::string(incentive::mechanism_name(kind)) +
+                     (faults ? "/faults" : "/clean") + "/plan_threads=" +
+                     std::to_string(plan_threads));
+        k.plan_threads = plan_threads;
+        expect_bit_identical(reference, run_campaign(k));
+      }
     }
   }
 }
 
 // Greedy selector coverage: a different plan shape (and thus a different
-// leg stream) through the same pipeline.
+// leg stream) through the same pipeline, planned and sharded.
 TEST(CommitEquivalence, GreedySelectorBufferedMatchesLegacy) {
-  RunKnobs k;
-  k.selector = select::SelectorKind::kGreedy;
-  k.faults = true;
-  k.shards = 2;
-  k.legacy_commit = true;
-  const CampaignRun legacy = run_campaign(k);
-  k.legacy_commit = false;
-  expect_bit_identical(legacy, run_campaign(k));
+  for (const bool faults : {false, true}) {
+    RunKnobs k;
+    k.selector = select::SelectorKind::kGreedy;
+    k.faults = faults;
+    const CampaignRun reference = serial_reference(k);
+    for (const auto& [shards, plan_threads] :
+         {std::pair{0, 4}, std::pair{2, 1}, std::pair{8, 1}}) {
+      SCOPED_TRACE(std::string(faults ? "faults" : "clean") + "/shards=" +
+                   std::to_string(shards) + "/plan_threads=" +
+                   std::to_string(plan_threads));
+      k.shards = shards;
+      k.plan_threads = plan_threads;
+      expect_bit_identical(reference, run_campaign(k));
+    }
+  }
 }
 
-// Sparse user ids: the buffered walk reads ids and state through store
-// columns by *position*; ids {70, 10, 55} catch any id-as-index slip. Task
-// ids stay dense per the repo-wide campaign convention.
+// Sparse user ids: the walk reads ids and state through store columns by
+// *position*; ids {70, 10, 55} catch any id-as-index slip.
 TEST(CommitEquivalence, SparseUserIdsBufferedMatchesLegacy) {
-  const auto run = [](bool legacy_commit, int shards) {
+  const auto run = [](const RunKnobs& k) {
     geo::BoundingBox area{{0.0, 0.0}, {1000.0, 1000.0}};
     model::World world(area, geo::TravelModel{2.0, 0.002}, 500.0);
     world.add_task({100.0, 100.0}, /*deadline=*/5, /*required=*/2);
@@ -182,21 +261,89 @@ TEST(CommitEquivalence, SparseUserIdsBufferedMatchesLegacy) {
     Rng mech_rng(1);
     auto mech = incentive::make_mechanism(incentive::MechanismKind::kOnDemand,
                                           world, {}, mech_rng);
-    auto selector = select::make_selector(select::SelectorKind::kDp, 14);
-    SimulatorParams sp;
-    sp.max_rounds = 4;
-    sp.shards = shards;
-    sp.legacy_commit = legacy_commit;
-    sp.record_events = true;
-    Simulator s(std::move(world), std::move(mech), std::move(selector), sp);
-    s.run();
-    return finish(s);
+    return run_world(std::move(world), std::move(mech), k, 4);
   };
-  for (const int shards : {0, 2}) {
-    SCOPED_TRACE("shards=" + std::to_string(shards));
-    const CampaignRun legacy = run(true, shards);
-    EXPECT_GT(legacy.spent, 0.0);
-    expect_bit_identical(legacy, run(false, shards));
+  for (const bool faults : {false, true}) {
+    RunKnobs k;
+    k.faults = faults;
+    k.serial_reference = true;
+    const CampaignRun reference = run(k);
+    EXPECT_GT(reference.spent, 0.0);
+    k.serial_reference = false;
+    for (const auto& [shards, plan_threads] :
+         {std::pair{0, 1}, std::pair{0, 4}, std::pair{2, 1}}) {
+      SCOPED_TRACE(std::string(faults ? "faults" : "clean") + "/shards=" +
+                   std::to_string(shards) + "/plan_threads=" +
+                   std::to_string(plan_threads));
+      k.shards = shards;
+      k.plan_threads = plan_threads;
+      expect_bit_identical(reference, run(k));
+    }
+  }
+}
+
+// Steered reprices between sessions and pays each session the price it was
+// just offered, read by task row — so the layout of task ids must not move
+// a single payment. Dense {0,1,2}, permuted {2,0,1} and sparse {40,17,93}
+// ids over one geometry. Faults are user-keyed only (dropout,
+// abandonment): upload-loss and glitch draws hash the task id and would
+// legitimately differ between layouts.
+TEST(CommitEquivalence, SteeredPaysRowPricesUnderAnyTaskIdLayout) {
+  struct Outcome {
+    Money spent_raw = 0.0;
+    Money spent_comp = 0.0;
+    std::vector<int> received;     // per task position
+    std::vector<Money> total_paid;  // per task position
+  };
+  const auto run = [](const std::vector<TaskId>& ids, bool faults) {
+    model::World world(geo::BoundingBox::square(1000.0),
+                       geo::TravelModel{2.0, 0.002}, 400.0);
+    // Uneven crowds (4 / 2 / 1 users in reach) drive the three tasks'
+    // received counts — and with them their steered prices — apart.
+    const geo::Point sites[] = {{150.0, 150.0}, {500.0, 500.0}, {850.0, 850.0}};
+    for (std::size_t i = 0; i < ids.size(); ++i) {
+      world.tasks().emplace_back(ids[i], sites[i], Round{6}, /*required=*/6);
+    }
+    const geo::Point homes[] = {{100.0, 120.0}, {180.0, 200.0}, {130.0, 90.0},
+                                {210.0, 140.0}, {470.0, 530.0}, {540.0, 480.0},
+                                {880.0, 820.0}};
+    for (const geo::Point& h : homes) world.add_user(h, 300.0);
+    Rng mech_rng(3);
+    auto mech = incentive::make_mechanism(incentive::MechanismKind::kSteered,
+                                          world, {}, mech_rng);
+    SimulatorParams sp;
+    sp.max_rounds = 5;
+    if (faults) {
+      sp.faults.dropout_prob = 0.2;
+      sp.faults.abandon_prob = 0.3;
+      sp.faults.seed = 11;
+    }
+    Simulator s(std::move(world), std::move(mech),
+                select::make_selector(select::SelectorKind::kDp, 14), sp);
+    s.run();
+    Outcome out;
+    out.spent_raw = s.budget().spent_raw();
+    out.spent_comp = s.budget().compensation();
+    for (const model::Task& t : s.world().tasks()) {
+      out.received.push_back(t.received());
+      out.total_paid.push_back(t.total_paid());
+    }
+    return out;
+  };
+  for (const bool faults : {false, true}) {
+    SCOPED_TRACE(faults ? "faults" : "clean");
+    const Outcome dense = run({0, 1, 2}, faults);
+    EXPECT_GT(dense.spent_raw, 0.0);
+    for (const std::vector<TaskId>& ids :
+         {std::vector<TaskId>{2, 0, 1}, std::vector<TaskId>{40, 17, 93}}) {
+      SCOPED_TRACE("ids=" + std::to_string(ids[0]) + "," +
+                   std::to_string(ids[1]) + "," + std::to_string(ids[2]));
+      const Outcome other = run(ids, faults);
+      EXPECT_EQ(dense.spent_raw, other.spent_raw);
+      EXPECT_EQ(dense.spent_comp, other.spent_comp);
+      EXPECT_EQ(dense.received, other.received);
+      EXPECT_EQ(dense.total_paid, other.total_paid);
+    }
   }
 }
 
