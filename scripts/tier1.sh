@@ -60,14 +60,15 @@ else
   cmake -B build-tsan -S . -DMCS_TSAN=ON
   cmake --build build-tsan -j "${JOBS}" --target test_common test_integration test_sim
   # PlanEquivalence drives the parallel plan / serial commit path at thread
-  # counts 2 and 8 — the only concurrent region inside a simulator — so it
-  # must stay in the TSan net alongside the pool/runner suites.
+  # counts 2 and 8 — plan workers gathering candidates concurrently from the
+  # round's shared, frozen task index — so it must stay in the TSan net
+  # alongside the thread-pool/runner suites.
   # PlanMemoEquivalence is the memo-equivalence stage: the memo's classify/
   # solve/publish phases share the table across the same plan workers, and
   # memoized campaigns must stay bit-identical (and race-free) under TSan.
   # ShardEquivalence drives the spatially sharded round loop (parallel
-  # pre-pass + per-cell planning over the SoA stores) at shard counts 1-8
-  # and auto — the widest concurrent surface in the simulator.
+  # pre-pass + per-cell gather and planning over the SoA stores) at shard
+  # counts 1-8 and auto — the widest concurrent surface in the simulator.
   # CommitEquivalence drives the buffered parallel commit (segment walk +
   # ordered merge + row-grouped delivery apply) against the serial
   # one-user-at-a-time reference (the intra-round session loop at frozen
@@ -98,7 +99,7 @@ if [[ "${SKIP_RELEASE}" == "1" ]]; then
 else
   cmake -B build-release -S . -DCMAKE_BUILD_TYPE=Release
   cmake --build build-release -j "${JOBS}" \
-    --target test_select test_sim test_incentive test_model \
+    --target test_select test_sim test_incentive test_model test_geo \
     bench_selector_scaling bench_campaign_throughput bench_incentive_micro \
     bench_checkpoint
   # Selector equivalence plus the plan/memo/reprice/neighbor-cache
@@ -109,13 +110,15 @@ else
   # CheckpointResume joins the -O3 net: bit-identical resume is a
   # floating-point identity claim just like the selector equivalences.
   # ShardEquivalence: sharded == legacy is likewise a floating-point
-  # identity claim (the reach filter must drop exactly what the DP prune
-  # drops under -O3's reassociation too). CommitEquivalence: the batch
-  # commit's merge replays payments and deliveries in the order the serial
-  # one-user-at-a-time reference commits them — bit-identity that must
-  # survive -O3 exactly like the others.
+  # identity claim. FrozenGrid: every loop gathers candidates with an
+  # inflated-radius query on the round's FrozenGrid and then the exact
+  # reach predicate; the gather is exact only if that query never
+  # under-collects, which must hold under -O3 too. CommitEquivalence: the
+  # batch commit's merge replays payments and deliveries in the order the
+  # serial one-user-at-a-time reference commits them — bit-identity that
+  # must survive -O3 exactly like the others.
   ctest --test-dir build-release --output-on-failure -j "${JOBS}" \
-    -R 'DpEquivalence|PruneCandidatesInto|SolverEquivalence|DpSelector|PlanEquivalence|PlanMemo|RepriceEquivalence|OnDemandReprice|SteeredReprice|NeighborCache|BudgetTracker|CheckpointResume|CheckpointEnvelope|ShardEquivalence|CommitEquivalence'
+    -R 'DpEquivalence|PruneCandidatesInto|SolverEquivalence|DpSelector|PlanEquivalence|PlanMemo|RepriceEquivalence|OnDemandReprice|SteeredReprice|NeighborCache|BudgetTracker|CheckpointResume|CheckpointEnvelope|ShardEquivalence|CommitEquivalence|FrozenGrid'
   ./build-release/bench/bench_selector_scaling --benchmark_min_time=0.01 \
     --benchmark_filter='BM_DpSelector/14|BM_GreedySelector/14' >/dev/null
   # The 100k-user sharded run (shards=1: buffered commit on one worker) and

@@ -100,6 +100,24 @@ World& World::operator=(const World& o) {
   return *this;
 }
 
+void World::reserve(std::size_t tasks, std::size_t users) {
+  tstore_->id.reserve(tasks);
+  tstore_->location.reserve(tasks);
+  tstore_->deadline.reserve(tasks);
+  tstore_->required.reserve(tasks);
+  tstore_->measurements.reserve(tasks);
+  tstore_->contributors.reserve(tasks);
+  tasks_.views_.reserve(tasks);
+  ustore_->id.reserve(users);
+  ustore_->home.reserve(users);
+  ustore_->location.reserve(users);
+  ustore_->time_budget.reserve(users);
+  ustore_->total_reward.reserve(users);
+  ustore_->total_cost.reserve(users);
+  ustore_->contributed.reserve(users);
+  users_.views_.reserve(users);
+}
+
 TaskId World::add_task(geo::Point location, Round deadline, int required) {
   MCS_CHECK(deadline >= 1, "task deadline must be at least round 1");
   MCS_CHECK(required >= 1, "task must require at least one measurement");

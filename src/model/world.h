@@ -50,6 +50,10 @@ class World {
   const geo::TravelModel& travel() const { return travel_; }
   Meters neighbor_radius() const { return neighbor_radius_; }
 
+  /// Reserve store capacity for `tasks` tasks and `users` users in total,
+  /// so bulk generation grows every column once instead of by doubling.
+  void reserve(std::size_t tasks, std::size_t users);
+
   TaskId add_task(geo::Point location, Round deadline, int required);
   UserId add_user(geo::Point home, Seconds time_budget);
 

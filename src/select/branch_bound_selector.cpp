@@ -57,13 +57,18 @@ void dfs(SearchState& st, std::size_t current) {
     if (st.visited[q - 1]) continue;
     const Meters leg = st.g->dist(current, q);
     if (st.dist + leg > st.dist_budget) continue;
+    // Restore the running sums from saved copies, not by subtracting: a
+    // path's distance and reward are then the exact left fold of its own
+    // legs, whatever the search explored before reaching it.
+    const Meters dist = st.dist;
+    const Money reward = st.reward;
     st.visited[q - 1] = true;
     st.path.push_back(q);
     st.dist += leg;
     st.reward += st.g->reward(q);
     dfs(st, q);
-    st.reward -= st.g->reward(q);
-    st.dist -= leg;
+    st.reward = reward;
+    st.dist = dist;
     st.path.pop_back();
     st.visited[q - 1] = false;
   }

@@ -29,18 +29,14 @@ DpSelector::DpSelector(int candidate_cap) : candidate_cap_(candidate_cap) {
 }
 
 void prune_candidates_into(const SelectionInstance& instance, int cap,
-                           std::vector<Candidate>& kept,
-                           std::vector<std::int32_t>& kept_pool_index) {
+                           std::vector<Candidate>& kept) {
   kept.clear();
-  kept_pool_index.clear();
-  const bool pooled = instance.has_pool();
   const Meters budget = instance.distance_budget();
   // A task farther than the whole budget can never be on a feasible path.
   for (std::size_t i = 0; i < instance.candidates.size(); ++i) {
     const Candidate& c = instance.candidates[i];
     if (geo::euclidean(instance.start, c.location) > budget) continue;
     kept.push_back(c);
-    if (pooled) kept_pool_index.push_back(instance.pool_index[i]);
   }
   if (kept.size() <= static_cast<std::size_t>(cap)) return;
 
@@ -57,27 +53,23 @@ void prune_candidates_into(const SelectionInstance& instance, int cap,
   idx.resize(static_cast<std::size_t>(cap));
   std::sort(idx.begin(), idx.end());  // keep original relative order
   // idx is ascending with idx[k] >= k, so the gather is safe in place.
-  for (std::size_t k = 0; k < idx.size(); ++k) {
-    kept[k] = kept[idx[k]];
-    if (pooled) kept_pool_index[k] = kept_pool_index[idx[k]];
-  }
+  for (std::size_t k = 0; k < idx.size(); ++k) kept[k] = kept[idx[k]];
   kept.resize(idx.size());
-  if (pooled) kept_pool_index.resize(idx.size());
 }
 
 SelectionInstance prune_candidates(const SelectionInstance& instance,
                                    int cap) {
   SelectionInstance pruned = instance;
-  prune_candidates_into(instance, cap, pruned.candidates, pruned.pool_index);
+  prune_candidates_into(instance, cap, pruned.candidates);
   return pruned;
 }
 
 Selection DpSelector::select(const SelectionInstance& instance) const {
-  prune_candidates_into(instance, candidate_cap_, kept_, kept_pool_index_);
+  prune_candidates_into(instance, candidate_cap_, kept_);
   const std::size_t m = kept_.size();
   if (m == 0) return {};
 
-  graph_.build(instance, kept_, kept_pool_index_);
+  graph_.build(instance, kept_);
   const TravelGraph& g = graph_;
   const geo::TravelModel& travel = instance.travel;
   const Meters dist_budget = instance.distance_budget();

@@ -70,7 +70,6 @@ class DpSelector final : public TaskSelector {
   // is logically const: the arena never carries state between calls, it
   // only keeps its capacity.
   mutable std::vector<Candidate> kept_;
-  mutable std::vector<std::int32_t> kept_pool_index_;
   mutable TravelGraph graph_;
   mutable std::vector<Meters> dp_;
   mutable std::vector<std::int8_t> parent_;
@@ -86,10 +85,8 @@ class DpSelector final : public TaskSelector {
 SelectionInstance prune_candidates(const SelectionInstance& instance, int cap);
 
 /// Allocation-free core of prune_candidates: writes the kept candidates
-/// (original relative order) into `kept`, and their pool rows into
-/// `kept_pool_index` when the instance has a pool (cleared otherwise).
+/// (original relative order) into `kept`.
 void prune_candidates_into(const SelectionInstance& instance, int cap,
-                           std::vector<Candidate>& kept,
-                           std::vector<std::int32_t>& kept_pool_index);
+                           std::vector<Candidate>& kept);
 
 }  // namespace mcs::select

@@ -3,7 +3,6 @@
 #include <vector>
 
 #include "geo/distance.h"
-#include "select/candidate_pool.h"
 #include "select/two_opt.h"
 
 namespace mcs::select {
@@ -15,16 +14,8 @@ Selection GreedySelector::select(const SelectionInstance& instance) const {
   const Meters dist_budget = instance.distance_budget();
   std::vector<bool> taken(instance.candidates.size(), false);
 
-  // Candidate-candidate legs come from the round's shared distance block
-  // when the instance has one (bit-identical to recomputing; the pool holds
-  // the same geo::euclidean values). Only the start legs are computed here.
-  const CandidatePool* pool =
-      instance.has_pool() ? instance.pool.get() : nullptr;
-  constexpr std::size_t kAtStart = static_cast<std::size_t>(-1);
-
   Selection s;
   geo::Point at = instance.start;
-  std::size_t at_index = kAtStart;  // candidate index of `at`, if any
   while (true) {
     // Pick the unvisited candidate with the best positive marginal profit
     // whose leg still fits in the remaining budget.
@@ -34,11 +25,7 @@ Selection GreedySelector::select(const SelectionInstance& instance) const {
     for (std::size_t i = 0; i < instance.candidates.size(); ++i) {
       if (taken[i]) continue;
       const Candidate& c = instance.candidates[i];
-      const Meters leg =
-          (pool != nullptr && at_index != kAtStart)
-              ? pool->dist(static_cast<std::size_t>(instance.pool_index[at_index]),
-                           static_cast<std::size_t>(instance.pool_index[i]))
-              : geo::euclidean(at, c.location);
+      const Meters leg = geo::euclidean(at, c.location);
       if (s.distance + leg > dist_budget) continue;
       const Money marginal = c.reward - instance.travel.cost_for(leg);
       if (marginal > best_marginal) {
@@ -55,7 +42,6 @@ Selection GreedySelector::select(const SelectionInstance& instance) const {
     s.distance += best_leg;
     s.reward += c.reward;
     at = c.location;
-    at_index = best;
   }
   s.cost = instance.travel.cost_for(s.distance);
 

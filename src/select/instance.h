@@ -3,8 +3,6 @@
 // total reward minus travel cost, with travel time within the budget.
 #pragma once
 
-#include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "common/types.h"
@@ -12,8 +10,6 @@
 #include "geo/point.h"
 
 namespace mcs::select {
-
-class CandidatePool;  // select/candidate_pool.h
 
 /// A task the user could perform this round (not yet contributed to, not
 /// completed, not expired, reward as published this round).
@@ -23,29 +19,22 @@ struct Candidate {
   Money reward = 0.0;
 };
 
+/// The simulator's instances list the reachable open tasks: every open,
+/// positively priced task the user has not contributed to whose straight-line
+/// distance from `start` is within distance_budget(), in ascending task-row
+/// order. A task beyond that budget can never be on a feasible tour, and the
+/// simulator's exact selectors (DP, brute force, branch-and-bound) and the
+/// greedy family return the same Selection with or without such candidates
+/// (pinned by the solver-equivalence suite); solvers still accept instances
+/// that list unreachable candidates.
 struct SelectionInstance {
   geo::Point start;                  // user location at round start
   std::vector<Candidate> candidates;
   geo::TravelModel travel;
   Seconds time_budget = 0.0;         // B_ui^k
 
-  // Shared round geometry (optional). When `pool` is set, `pool_index` runs
-  // parallel to `candidates` and maps each one to its row in the pool;
-  // selectors then reuse the pool's precomputed candidate–candidate
-  // distances instead of recomputing them per user. Rewards are always read
-  // from `candidates` (intra-round mechanisms reprice between sessions; the
-  // pool carries geometry only). Instances without a pool behave exactly as
-  // before — sharing is bit-invisible to every solver.
-  std::shared_ptr<const CandidatePool> pool;
-  std::vector<std::int32_t> pool_index;
-
   /// Maximum travel distance the time budget allows.
   Meters distance_budget() const { return travel.distance_within(time_budget); }
-
-  /// True when the pool fields are usable for candidate-distance lookups.
-  bool has_pool() const {
-    return pool != nullptr && pool_index.size() == candidates.size();
-  }
 };
 
 /// A solution: the chosen tasks in visiting order plus its economics.

@@ -5,7 +5,6 @@
 #include "common/error.h"
 #include "common/hash.h"
 #include "geo/distance.h"
-#include "select/candidate_pool.h"
 
 namespace mcs::select {
 
@@ -20,19 +19,9 @@ PlanMemo::PlanMemo(PlanMemoParams params) : params_(params) {
   params_.validate();
 }
 
-void PlanMemo::begin_round(const CandidatePool& pool) {
-  pool_ = &pool;
-  cell_mode_ = false;
+void PlanMemo::begin_table() {
   entries_.clear();
-  buckets_.clear();  // keeps the bucket array; no rehash next round
-  ++stats_.rounds;
-}
-
-void PlanMemo::begin_cell() {
-  pool_ = nullptr;
-  cell_mode_ = true;
-  entries_.clear();
-  buckets_.clear();
+  buckets_.clear();  // keeps the bucket array; no rehash next table
 }
 
 std::uint64_t PlanMemo::key_of(const SelectionInstance& inst,
@@ -50,47 +39,22 @@ std::uint64_t PlanMemo::key_of(const SelectionInstance& inst,
 
 PlanMemo::Ticket PlanMemo::classify(const SelectionInstance& inst,
                                     int exact_candidate_limit) {
-  MCS_CHECK(pool_ != nullptr || cell_mode_,
-            "PlanMemo::begin_round()/begin_cell() not called");
-
-  // Canonical signature of the candidate subset. Pooled rounds use a
-  // bitmask over the round's pool rows: identical masks => identical
-  // candidate ids, locations and enumeration order (make_instance walks
-  // rows ascending). Cell mode uses the candidate task-id vector directly
-  // (ids ascend with task position, and within one round an id determines
-  // its location) — the same implication, without a pool.
-  std::uint64_t sig = 0;
-  if (cell_mode_) {
-    MCS_CHECK(!inst.has_pool(), "cell-mode instances are poolless");
-    const std::size_t n = inst.candidates.size();
-    scratch_ids_.resize(n);
-    sig = mix64(static_cast<std::uint64_t>(n));
-    for (std::size_t j = 0; j < n; ++j) {
-      scratch_ids_[j] = inst.candidates[j].task;
-      sig = hash_combine(sig, static_cast<std::uint64_t>(scratch_ids_[j]));
-    }
-  } else {
-    MCS_CHECK(inst.has_pool() && inst.pool.get() == pool_,
-              "instance must carry this round's candidate pool");
-    const std::size_t rows = pool_->size();
-    scratch_inclusion_.assign((rows + 63) / 64, 0);
-    for (const std::int32_t row : inst.pool_index) {
-      scratch_inclusion_[static_cast<std::size_t>(row) >> 6] |=
-          1ULL << (static_cast<std::size_t>(row) & 63);
-    }
-    sig = mix64(static_cast<std::uint64_t>(rows));
-    for (const std::uint64_t w : scratch_inclusion_) sig = hash_combine(sig, w);
+  // Canonical signature of the candidate list: its task-id vector. Within
+  // one round an id determines its location, and the simulator lists
+  // candidates in ascending task-row order, so equal vectors mean equal
+  // geometry and enumeration order.
+  const std::size_t m = inst.candidates.size();
+  scratch_ids_.resize(m);
+  std::uint64_t sig = mix64(static_cast<std::uint64_t>(m));
+  for (std::size_t j = 0; j < m; ++j) {
+    scratch_ids_[j] = inst.candidates[j].task;
+    sig = hash_combine(sig, static_cast<std::uint64_t>(scratch_ids_[j]));
   }
-  const auto same_subset = [&](const Entry& e) {
-    return cell_mode_ ? e.ids == scratch_ids_
-                      : e.inclusion == scratch_inclusion_;
-  };
 
   // Prices are frozen for the round by the caller (round-granularity
   // mechanisms), but the memo does not take that on faith: rewards and the
   // travel model are part of every verification, so a repriced or foreign
   // instance degrades to a miss instead of a wrong plan.
-  const std::size_t m = inst.candidates.size();
   const auto economics_match = [&](const Entry& e) {
     if (e.travel.speed_mps != inst.travel.speed_mps ||
         e.travel.cost_per_meter != inst.travel.cost_per_meter) {
@@ -109,7 +73,7 @@ PlanMemo::Ticket PlanMemo::classify(const SelectionInstance& inst,
   // return. The hash only routed us here — every field is re-verified.
   for (const std::uint32_t idx : bucket) {
     const Entry& e = entries_[idx];
-    if (!same_subset(e)) continue;
+    if (e.ids != scratch_ids_) continue;
     if (!(e.start == inst.start) || e.time_budget != inst.time_budget) {
       continue;
     }
@@ -128,11 +92,15 @@ PlanMemo::Ticket PlanMemo::classify(const SelectionInstance& inst,
   // Dominance probe (the start-leg fix-up): only sound when both the cached
   // solve and this user's would-be solve are exact at this candidate count.
   // The remaining condition — the cached optimum is the empty tour — is
-  // checked at resolve(), after the owner published.
+  // checked at resolve(). Only published entries are probed: a prober
+  // pending on an unsolved owner creates no entry of its own, so each of
+  // its bit-equal class-mates would turn pending too and, when the owner's
+  // plan is not empty, pay a fallback solve each. As an owner it pays one
+  // solve and they exact-hit it.
   if (exact_candidate_limit >= static_cast<int>(m)) {
     for (const std::uint32_t idx : bucket) {
       const Entry& e = entries_[idx];
-      if (!same_subset(e)) continue;
+      if (!e.solved || e.ids != scratch_ids_) continue;
       if (e.exact_limit < static_cast<int>(m)) continue;
       if (inst.time_budget > e.time_budget) continue;
       if (!economics_match(e)) continue;
@@ -156,11 +124,7 @@ PlanMemo::Ticket PlanMemo::classify(const SelectionInstance& inst,
     Entry e;
     e.start = inst.start;
     e.time_budget = inst.time_budget;
-    if (cell_mode_) {
-      e.ids = scratch_ids_;
-    } else {
-      e.inclusion = scratch_inclusion_;
-    }
+    e.ids = scratch_ids_;
     e.d0 = scratch_d0_;
     e.travel = inst.travel;
     e.rewards.resize(m);

@@ -2,52 +2,58 @@
 //
 // At production density many users of one sensing round face *identical*
 // selection instances: the open set and prices are frozen for the round
-// (round-granularity mechanisms), the candidate geometry is the shared
-// CandidatePool, and users clustered at the same point of interest share
-// the same start location and often the same time budget and contributed
-// set. Their DP solves are then byte-for-byte the same work, O(m^2 * 2^m)
-// each. The memo keys every planned invocation by
+// (round-granularity mechanisms), and users clustered at the same point of
+// interest share the same start location and often the same time budget
+// and contributed set — hence the same reachable candidate list. Their DP
+// solves are then byte-for-byte the same work, O(m^2 * 2^m) each. The memo
+// keys every planned invocation by
 //
 //   (quantized start cell, time-budget bucket,
-//    signature of the included pool-row subset)
+//    signature of the candidate task-id vector)
 //
 // and lets only the first user of an equivalence class — the class *owner*
 // — pay the solve; everyone else pays a hash lookup plus an O(m) fix-up
-// check. The result is pinned bit-identical to the memo-free path: a plan
-// is ever reused only under one of two *proofs*:
+// check. Within one round a task id determines its location, and instances
+// list candidates in ascending task-row order, so equal id vectors mean
+// equal candidate geometry and enumeration order. The result is pinned
+// bit-identical to the memo-free path: a plan is ever reused only under one
+// of two *proofs*:
 //
 //  * Exact hit: the probing instance equals the cached one — bit-equal
-//    start, bit-equal time budget and the identical included pool-row
-//    subset. Selectors are documented deterministic pure functions of the
-//    instance (selector.h), so the cached Selection IS what the probing
-//    user's own solve would return. Safe for any selector.
+//    start, bit-equal time budget, the identical candidate id vector and
+//    bit-equal rewards and travel model. Selectors are documented
+//    deterministic pure functions of the instance (selector.h), so the
+//    cached Selection IS what the probing user's own solve would return.
+//    Safe for any selector.
 //  * Dominance fix-up (start-leg fix-up for the empty tour): the cached
 //    instance was solved *exactly* (TaskSelector::exact_candidate_limit()
 //    covers the candidate count) and returned the empty selection; the
-//    probing user has the same included subset, a time budget no larger
-//    than the cached one, and a start-leg distance to every candidate no
-//    shorter than the cached user's. Travel time and cost are linear in
-//    distance (geo::TravelModel), so every tour feasible for the prober is
-//    feasible for the cached user at no higher cost: all its tours have
-//    profit <= the cached optimum <= 0, and an exact solver (strict
-//    improvement over the empty incumbent, as the DP implements) returns
-//    exactly the empty selection again.
+//    probing user has the same candidate ids, rewards and travel model, a
+//    time budget no larger than the cached one, and a start-leg distance to
+//    every candidate no shorter than the cached user's. Travel time and
+//    cost are linear in distance (geo::TravelModel), so every tour feasible
+//    for the prober is feasible for the cached user at no higher cost: all
+//    its tours have profit <= the cached optimum <= 0, and an exact solver
+//    (strict improvement over the empty incumbent, as the DP implements)
+//    returns exactly the empty selection again.
 //
-// Everything else — different reachable set under the travel budget,
-// tie-breaking ambiguity between distinct non-empty tours, contributed-task
-// overlap that changes the included subset — fails verification and takes
-// the exact fallback: the user's full solve runs as if the memo did not
-// exist (counted in stats().fallbacks).
+// Everything else — tie-breaking ambiguity between distinct non-empty
+// tours, a contributed task or a reach difference that changes the
+// candidate list, a repriced candidate — fails verification and takes the
+// exact fallback: the user's full solve runs as if the memo did not exist
+// (counted in stats().fallbacks).
 //
-// Concurrency/determinism: the table is built per round in three phases
-// driven by the simulator. (1) a serial classification pass in user-
+// Concurrency/determinism: a table is scoped by begin_table() — once per
+// round in the planned loop, once per shard cell in the sharded loop — and
+// driven by the simulator in three phases. (1) classification in user-
 // position order assigns every user a Ticket (owner / exact hit / pending
-// dominance probe); (2) owners' solves run concurrently on the plan
-// workers — the memo is not touched at all; (3) a serial pass in the same
-// position order publishes owner plans into the table, copies them to
-// exact hits and resolves pendings (failed probes become a second solve
-// wave). Insertion order, hit/miss accounting and every returned plan are
-// therefore identical at any plan_threads value.
+// dominance probe); (2) owners solve — the planned loop fans them out over
+// the plan workers without touching the memo; (3) publication in the same
+// position order copies owner plans into the table, to exact hits, and
+// resolves pendings (failed probes become a second solve wave). The sharded
+// loop interleaves the three per user, because a cell's owner always
+// precedes its hits in position order. Insertion order, hit/miss accounting
+// and every returned plan are therefore identical at any worker count.
 #pragma once
 
 #include <cstdint>
@@ -58,8 +64,6 @@
 #include "select/instance.h"
 
 namespace mcs::select {
-
-class CandidatePool;
 
 struct PlanMemoParams {
   bool enabled = false;
@@ -82,7 +86,7 @@ struct PlanMemoStats {
   long long fixup_hits = 0;  // dominance fix-up proved the empty plan
   long long misses = 0;      // full solves (class owners + fallbacks)
   long long fallbacks = 0;   // pendings whose fix-up failed (subset of misses)
-  long long rounds = 0;      // rounds the memo was active for
+  long long rounds = 0;      // rounds the memo was active for (count_round)
 
   long long hits() const { return exact_hits + fixup_hits; }
   long long lookups() const { return hits() + misses; }
@@ -114,24 +118,18 @@ class PlanMemo {
 
   const PlanMemoParams& params() const { return params_; }
 
-  /// Start a new round: drop every entry (capacity is kept), remember the
-  /// round's shared pool. Cumulative stats survive across rounds.
-  void begin_round(const CandidatePool& pool);
+  /// Start a new table: drop every entry (capacity is kept). Tables never
+  /// span rounds; cumulative stats survive.
+  void begin_table();
 
-  /// Poolless (cell) mode, used by the sharded round loop: start a table
-  /// scoped to one shard cell. Instances carry no CandidatePool, so the
-  /// equivalence-class signature is the candidate task-id vector instead of
-  /// a pool-row bitmask — identical ids within one round imply identical
-  /// locations and enumeration order, and rewards/travel/start/budget are
-  /// re-verified exactly as in pooled mode, so every reuse proof carries
-  /// over unchanged. Does not advance stats().rounds (the sharded loop
-  /// counts each round once, not once per cell).
-  void begin_cell();
+  /// Count one round the memo was active for (stats().rounds). The
+  /// simulator calls it once per memoized round, however many tables the
+  /// round used.
+  void count_round() { ++stats_.rounds; }
 
-  /// Phase 1, serial, in user-position order. The instance must carry the
-  /// round pool (has_pool()). `exact_candidate_limit` is the solving
-  /// selector's TaskSelector::exact_candidate_limit(). Updates stats for
-  /// exact hits and owners; pendings are counted at resolve().
+  /// Phase 1, serial, in user-position order. `exact_candidate_limit` is
+  /// the solving selector's TaskSelector::exact_candidate_limit(). Updates
+  /// stats for exact hits and owners; pendings are counted at resolve().
   Ticket classify(const SelectionInstance& inst, int exact_candidate_limit);
 
   /// Phase 3, serial, same order: publish an owner's freshly solved plan
@@ -151,17 +149,16 @@ class PlanMemo {
 
   const PlanMemoStats& stats() const { return stats_; }
   void reset_stats() { stats_ = {}; }
-  /// Resume path: reinstall cumulative counters from a checkpoint. The
-  /// table itself is per-round (begin_round drops it), so the counters are
-  /// the memo's only cross-round state.
+  /// Resume path: reinstall cumulative counters from a checkpoint. Tables
+  /// never span rounds, so the counters are the memo's only cross-round
+  /// state.
   void restore_stats(const PlanMemoStats& stats) { stats_ = stats; }
 
  private:
   struct Entry {
     geo::Point start;
     Seconds time_budget = 0.0;
-    std::vector<std::uint64_t> inclusion;  // bitmask over pool rows
-    std::vector<TaskId> ids;       // candidate ids (cell mode only)
+    std::vector<TaskId> ids;       // candidate ids, instance order
     std::vector<Meters> d0;        // start-leg distance per included candidate
     std::vector<Money> rewards;    // per included candidate, insert-time
     geo::TravelModel travel;
@@ -175,13 +172,10 @@ class PlanMemo {
                        std::uint64_t sig_hash) const;
 
   PlanMemoParams params_;
-  const CandidatePool* pool_ = nullptr;
-  bool cell_mode_ = false;  // begin_cell() table: signatures are id vectors
   std::vector<Entry> entries_;
   std::unordered_map<std::uint64_t, std::vector<std::uint32_t>> buckets_;
   PlanMemoStats stats_;
   // Scratch reused across classify() calls.
-  std::vector<std::uint64_t> scratch_inclusion_;
   std::vector<TaskId> scratch_ids_;
   std::vector<Meters> scratch_d0_;
 };

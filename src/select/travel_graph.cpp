@@ -2,19 +2,17 @@
 
 #include "common/error.h"
 #include "geo/distance.h"
-#include "select/candidate_pool.h"
 
 namespace mcs::select {
 
 TravelGraph::TravelGraph(const SelectionInstance& instance) { build(instance); }
 
 void TravelGraph::build(const SelectionInstance& instance) {
-  build(instance, instance.candidates, instance.pool_index);
+  build(instance, instance.candidates);
 }
 
 void TravelGraph::build(const SelectionInstance& instance,
-                        const std::vector<Candidate>& candidates,
-                        const std::vector<std::int32_t>& pool_index) {
+                        const std::vector<Candidate>& candidates) {
   m_ = candidates.size();
   const std::size_t n = m_ + 1;
   d_.assign(n * n, 0.0);
@@ -34,26 +32,12 @@ void TravelGraph::build(const SelectionInstance& instance,
     d_[(j + 1) * n] = d;
   }
 
-  const CandidatePool* pool =
-      pool_index.size() == m_ ? instance.pool.get() : nullptr;
-  if (pool != nullptr) {
-    // Candidate block straight from the round's shared matrix.
-    for (std::size_t i = 0; i < m_; ++i) {
-      const auto pi = static_cast<std::size_t>(pool_index[i]);
-      for (std::size_t j = i + 1; j < m_; ++j) {
-        const Meters d = pool->dist(pi, static_cast<std::size_t>(pool_index[j]));
-        d_[(i + 1) * n + (j + 1)] = d;
-        d_[(j + 1) * n + (i + 1)] = d;
-      }
-    }
-  } else {
-    for (std::size_t i = 0; i < m_; ++i) {
-      for (std::size_t j = i + 1; j < m_; ++j) {
-        const Meters d =
-            geo::euclidean(candidates[i].location, candidates[j].location);
-        d_[(i + 1) * n + (j + 1)] = d;
-        d_[(j + 1) * n + (i + 1)] = d;
-      }
+  for (std::size_t i = 0; i < m_; ++i) {
+    for (std::size_t j = i + 1; j < m_; ++j) {
+      const Meters d =
+          geo::euclidean(candidates[i].location, candidates[j].location);
+      d_[(i + 1) * n + (j + 1)] = d;
+      d_[(j + 1) * n + (i + 1)] = d;
     }
   }
 

@@ -4,10 +4,7 @@
 //
 // A graph can be rebuilt in place (`build()`), reusing its storage — exact
 // solvers that run once per user session keep one graph as scratch instead
-// of allocating a fresh one per call. When the instance carries a shared
-// CandidatePool, the candidate–candidate block is copied from the pool and
-// only the start row is computed; the resulting distances are bit-identical
-// to a poolless build (the pool stores the same geo::euclidean values).
+// of allocating a fresh one per call.
 #pragma once
 
 #include <vector>
@@ -27,12 +24,9 @@ class TravelGraph {
   void build(const SelectionInstance& instance);
 
   /// (Re)build from an explicit candidate subset of `instance` (e.g. the
-  /// DP's pruned view). `pool_index` must parallel `candidates` when the
-  /// instance has a pool, mapping each kept candidate to its pool row; pass
-  /// an empty vector to force plain recomputation.
+  /// DP's pruned view); only the instance's start is read.
   void build(const SelectionInstance& instance,
-             const std::vector<Candidate>& candidates,
-             const std::vector<std::int32_t>& pool_index);
+             const std::vector<Candidate>& candidates);
 
   /// Number of candidates m.
   std::size_t num_candidates() const { return m_; }

@@ -31,8 +31,11 @@ model::World make_empty_world(const ScenarioParams& p) {
   geo::TravelModel travel;
   travel.speed_mps = p.speed_mps;
   travel.cost_per_meter = p.cost_per_meter;
-  return model::World(geo::BoundingBox::square(p.area_side), travel,
-                      p.neighbor_radius);
+  model::World world(geo::BoundingBox::square(p.area_side), travel,
+                     p.neighbor_radius);
+  world.reserve(static_cast<std::size_t>(p.num_tasks),
+                static_cast<std::size_t>(p.num_users));
+  return world;
 }
 
 void add_users(model::World& world, const ScenarioParams& p, Rng& rng) {

@@ -11,8 +11,6 @@
 #include "common/rng.h"
 #include "common/stats.h"
 #include "geo/distance.h"
-#include "geo/spatial_grid.h"
-#include "select/candidate_pool.h"
 #include "sim/checkpoint.h"
 #include "sim/serialize.h"
 
@@ -58,48 +56,6 @@ std::vector<bool> open_tasks(const model::World& world,
   return open;
 }
 
-// The geometry every user session of the round shares: one pool row per
-// open task, in task-vector order (so make_instance can recover pool rows
-// by counting open slots). Pool rewards are the round-start prices; the
-// per-user instances re-read prices from the mechanism, because intra-round
-// mechanisms reprice between sessions — the pool only contributes the
-// candidate-distance block.
-std::shared_ptr<const select::CandidatePool> build_round_pool(
-    const model::World& world, const std::vector<Money>& price,
-    const std::vector<bool>& open) {
-  std::vector<select::Candidate> candidates;
-  for (std::size_t i = 0; i < world.num_tasks(); ++i) {
-    if (!open[i]) continue;
-    const model::Task& t = world.tasks()[i];
-    candidates.push_back({t.id(), t.location(), price[i]});
-  }
-  return std::make_shared<const select::CandidatePool>(std::move(candidates));
-}
-
-select::SelectionInstance make_instance(
-    const model::World& world, const std::vector<Money>& price,
-    const model::User& u, const std::vector<bool>& open,
-    std::shared_ptr<const select::CandidatePool> pool, geo::Point start,
-    Seconds time_budget) {
-  select::SelectionInstance inst;
-  inst.start = start;
-  inst.travel = world.travel();
-  inst.time_budget = time_budget;
-  inst.pool = std::move(pool);
-  std::int32_t pool_row = -1;
-  for (std::size_t i = 0; i < world.num_tasks(); ++i) {
-    if (!open[i]) continue;
-    ++pool_row;  // every open task owns one pool row, contributed or not
-    const model::Task& t = world.tasks()[i];
-    if (t.has_contributed(u.id())) continue;
-    const Money reward = price[i];
-    if (reward <= 0.0) continue;
-    inst.candidates.push_back({t.id(), t.location(), reward});
-    inst.pool_index.push_back(pool_row);
-  }
-  return inst;
-}
-
 }  // namespace
 
 const std::vector<Money>& Simulator::prices() {
@@ -122,14 +78,61 @@ std::vector<select::SelectionInstance> Simulator::peek_instances() {
   const std::vector<Money>& price = prices();
   std::vector<bool> open = open_tasks(world_, price, k);
   apply_withdrawals(open, k);
-  const auto pool = build_round_pool(world_, price, open);
-  std::vector<select::SelectionInstance> out;
-  out.reserve(world_.num_users());
-  for (const model::User& u : world_.users()) {
-    out.push_back(make_instance(world_, price, u, open, pool, u.home(),
-                                u.time_budget()));
+  index_round_tasks(open);
+  const model::UserStore& us = world_.user_store();
+  std::vector<select::SelectionInstance> out(us.size());
+  std::vector<std::int32_t> hits;
+  for (std::size_t pos = 0; pos < us.size(); ++pos) {
+    gather(static_cast<std::uint32_t>(pos), us.home[pos], price, hits,
+           out[pos]);
   }
   return out;
+}
+
+Meters Simulator::grid_cell_size() const {
+  const geo::BoundingBox& a = world_.area();
+  return std::max(std::max(a.width(), a.height()) / 64.0, 1e-3);
+}
+
+void Simulator::index_round_tasks(const std::vector<bool>& open) {
+  const model::TaskStore& ts = world_.task_store();
+  round_rows_.clear();
+  std::vector<geo::Point> points;
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    if (!open[i]) continue;
+    round_rows_.push_back(static_cast<std::uint32_t>(i));
+    points.push_back(ts.location[i]);
+  }
+  round_grid_ = geo::FrozenGrid(world_.area(), grid_cell_size(), points);
+}
+
+void Simulator::gather(std::uint32_t pos, geo::Point start,
+                       const std::vector<Money>& price,
+                       std::vector<std::int32_t>& hits,
+                       select::SelectionInstance& inst) const {
+  const model::UserStore& us = world_.user_store();
+  const model::TaskStore& ts = world_.task_store();
+  inst.start = start;
+  inst.travel = world_.travel();
+  inst.time_budget = us.time_budget[pos];
+  inst.candidates.clear();
+  // An inflated-radius query can only over-collect: the grid's
+  // squared-distance hit test and the sqrt-based reach predicate round
+  // differently within an ulp. The exact predicate — the one the DP
+  // front-end prunes with — then decides membership, in task-row order.
+  const Meters reach = inst.distance_budget();
+  hits.clear();
+  round_grid_.for_each_in_radius(
+      start, reach * (1.0 + 1e-12) + 1e-9,
+      [&hits](std::int32_t h) { hits.push_back(h); });
+  std::sort(hits.begin(), hits.end());
+  for (const std::int32_t h : hits) {
+    const std::uint32_t row = round_rows_[static_cast<std::size_t>(h)];
+    if (geo::euclidean(start, ts.location[row]) > reach) continue;
+    if (us.contributed[pos].test(ts.id[row])) continue;
+    if (price[row] <= 0.0) continue;
+    inst.candidates.push_back({ts.id[row], ts.location[row], price[row]});
+  }
 }
 
 int Simulator::apply_withdrawals(std::vector<bool>& open, Round k) const {
@@ -303,7 +306,6 @@ void Simulator::commit_sessions(Round k,
 
 void Simulator::run_sessions_intra_round(
     Round k, const std::vector<bool>& open,
-    const std::shared_ptr<const select::CandidatePool>& pool,
     const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm,
     double& session_mean_sum, int& priced_sessions) {
   // Task positions the previous session touched: between two sessions of
@@ -312,6 +314,8 @@ void Simulator::run_sessions_intra_round(
   const bool timed = params_.phase_timers;
   double t0 = 0.0;
   std::vector<std::size_t> dirty;
+  select::SelectionInstance inst;
+  std::vector<std::int32_t> hits;
   commit_scratch_.segments.resize(1);
   CommitSegment& seg = commit_scratch_.segments[0];
   for (const std::uint32_t pos : visit_order) {
@@ -354,8 +358,7 @@ void Simulator::run_sessions_intra_round(
       t0 = mono_seconds();
     }
 
-    const select::SelectionInstance inst = make_instance(
-        world_, price, u, open, pool, u.location(), u.time_budget());
+    gather(pos, u.location(), price, hits, inst);
     const select::Selection sel = selector_->select(inst);
     MCS_ASSERT(select::is_feasible(inst, sel),
                "selector returned an infeasible tour");
@@ -393,49 +396,45 @@ bool Simulator::ensure_plan_workers(int threads) {
   return true;
 }
 
-void Simulator::solve_positions(
-    const std::vector<std::uint32_t>& positions, const std::vector<bool>& open,
-    const std::shared_ptr<const select::CandidatePool>& pool,
-    const std::vector<Money>& price, std::vector<select::Selection>& plans,
-    std::vector<char>& feasible) {
-  // Prices, the open set and the pool are frozen for the whole round, and a
+void Simulator::solve_positions(const std::vector<std::uint32_t>& positions,
+                                const std::vector<Money>& price,
+                                std::vector<select::Selection>& plans,
+                                std::vector<char>& feasible) {
+  // Prices and the round task index are frozen for the whole round, and a
   // user's instance depends only on that frozen state plus the user's own
   // location and contributed set — nothing another user's session changes.
   // Plans are therefore order-free: compute them concurrently into per-user
   // slots. Feasibility is checked here (while the instance is still alive)
   // and only asserted at commit.
-  const auto plan_user = [&](const select::TaskSelector& solver,
-                             std::size_t pos) {
-    const model::User& u = world_.users()[pos];
-    const select::SelectionInstance inst = make_instance(
-        world_, price, u, open, pool, u.location(), u.time_budget());
-    plans[pos] = solver.select(inst);
-    feasible[pos] = select::is_feasible(inst, plans[pos]) ? 1 : 0;
+  const model::UserStore& us = world_.user_store();
+  const auto plan_users = [&](const select::TaskSelector& solver,
+                              std::size_t first, std::size_t stride) {
+    select::SelectionInstance inst;
+    std::vector<std::int32_t> hits;
+    for (std::size_t i = first; i < positions.size(); i += stride) {
+      const std::uint32_t pos = positions[i];
+      gather(pos, us.location[pos], price, hits, inst);
+      plans[pos] = solver.select(inst);
+      feasible[pos] = select::is_feasible(inst, plans[pos]) ? 1 : 0;
+    }
   };
 
   const int threads = resolve_threads(params_.plan_threads);
   if (threads <= 1 || positions.size() <= 1 || !ensure_plan_workers(threads)) {
-    for (const std::uint32_t pos : positions) plan_user(*selector_, pos);
+    plan_users(*selector_, 0, 1);
   } else {
     // One selector clone per shard: DP/greedy scratch arenas are not
     // reentrant (DESIGN.md §7), so concurrent plans never share a solver.
     const std::size_t shards = plan_selectors_.size();
     for (std::size_t s = 0; s < shards; ++s) {
-      plan_pool_->submit([&, s] {
-        const select::TaskSelector& solver = *plan_selectors_[s];
-        for (std::size_t i = s; i < positions.size(); i += shards) {
-          plan_user(solver, positions[i]);
-        }
-      });
+      plan_pool_->submit([&, s] { plan_users(*plan_selectors_[s], s, shards); });
     }
     plan_pool_->wait_idle();
   }
 }
 
 void Simulator::run_sessions_planned(
-    Round k, const std::vector<bool>& open,
-    const std::shared_ptr<const select::CandidatePool>& pool,
-    const std::vector<Money>& price,
+    Round k, const std::vector<Money>& price,
     const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm) {
   const std::size_t n_users = world_.num_users();
   const bool timed = params_.phase_timers;
@@ -466,7 +465,7 @@ void Simulator::run_sessions_planned(
     for (std::size_t pos = 0; pos < n_users; ++pos) {
       if (!dropped[pos]) to_plan.push_back(static_cast<std::uint32_t>(pos));
     }
-    solve_positions(to_plan, open, pool, price, plans, feasible);
+    solve_positions(to_plan, price, plans, feasible);
   } else {
     // Memoized plan phase (select/plan_memo.h), three deterministic phases.
     //
@@ -477,23 +476,25 @@ void Simulator::run_sessions_planned(
     // result is known. Position order (not visit order) so that hit/miss
     // accounting and entry layout are independent of the round shuffle's
     // interaction with fault draws — and identical at any thread count.
-    plan_memo_.begin_round(*pool);
+    plan_memo_.begin_table();
     const int exact_limit = selector_->exact_candidate_limit();
+    const model::UserStore& us = world_.user_store();
     std::vector<select::PlanMemo::Ticket> tickets(n_users);
     std::vector<std::uint32_t> owners;
+    select::SelectionInstance inst;
+    std::vector<std::int32_t> hits;
     for (std::size_t pos = 0; pos < n_users; ++pos) {
       if (dropped[pos]) continue;
-      const model::User& u = world_.users()[pos];
-      const select::SelectionInstance inst = make_instance(
-          world_, price, u, open, pool, u.location(), u.time_budget());
+      const auto p = static_cast<std::uint32_t>(pos);
+      gather(p, us.location[pos], price, hits, inst);
       tickets[pos] = plan_memo_.classify(inst, exact_limit);
       if (tickets[pos].outcome == select::PlanMemo::Outcome::kOwner) {
-        owners.push_back(static_cast<std::uint32_t>(pos));
+        owners.push_back(p);
       }
     }
 
     // Phase 2 — owners solve concurrently; the memo is untouched.
-    solve_positions(owners, open, pool, price, plans, feasible);
+    solve_positions(owners, price, plans, feasible);
 
     // Phase 3 — serial, position order again: owners publish, exact hits
     // copy (the owner's position is smaller, so its plan is published by
@@ -523,7 +524,7 @@ void Simulator::run_sessions_planned(
         }
       }
     }
-    solve_positions(fallback, open, pool, price, plans, feasible);
+    solve_positions(fallback, price, plans, feasible);
   }
   if (timed) {
     phase_.plan += mono_seconds() - t0;
@@ -544,13 +545,8 @@ int Simulator::shard_worker_count() const {
              : params_.shards;
 }
 
-Meters Simulator::shard_cell_size() const {
-  const geo::BoundingBox& a = world_.area();
-  return std::max(std::max(a.width(), a.height()) / 64.0, 1e-3);
-}
-
 bool Simulator::run_sessions_sharded(
-    Round k, const std::vector<bool>& open, const std::vector<Money>& price,
+    Round k, const std::vector<Money>& price,
     const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm) {
   const int workers = std::max(shard_worker_count(), 1);
   const bool pooled_workers = workers > 1;
@@ -559,9 +555,7 @@ bool Simulator::run_sessions_sharded(
   }
 
   const std::size_t n_users = world_.num_users();
-  const std::size_t n_tasks = world_.num_tasks();
   const model::UserStore& us = world_.user_store();
-  const model::TaskStore& ts = world_.task_store();
   const bool timed = params_.phase_timers;
   double t0 = timed ? mono_seconds() : 0.0;
 
@@ -608,7 +602,7 @@ bool Simulator::run_sessions_sharded(
   // --- Shard index: bucket users by the grid cell of their round-start
   // location (CSR layout; within a cell users keep ascending position, so
   // per-cell processing order is shard-count-invariant).
-  const Meters cell = shard_cell_size();
+  const Meters cell = grid_cell_size();
   const geo::BoundingBox& area = world_.area();
   const int nx = std::max(1, static_cast<int>(std::ceil(area.width() / cell)));
   const int ny = std::max(1, static_cast<int>(std::ceil(area.height() / cell)));
@@ -693,25 +687,13 @@ bool Simulator::run_sessions_sharded(
     }
   }
 
-  // --- Frozen round state: a spatial index over the open tasks (every one
-  // carries a positive round price) for reach-local candidate gathering.
-  geo::SpatialGrid task_grid(area, cell);
-  for (std::size_t i = 0; i < n_tasks; ++i) {
-    if (open[i]) task_grid.insert(static_cast<std::int32_t>(i), ts.location[i]);
-  }
   if (timed) {
     phase_.prepass += mono_seconds() - t0;
     t0 = mono_seconds();
   }
 
-  // --- Plan phase: contiguous cell ranges per worker. Every candidate list
-  // is make_instance's (open, not contributed, priced, ascending task
-  // position) minus the tasks beyond the user's travel-distance budget —
-  // filtered with the exact predicate the DP front-end prunes with, after
-  // an inflated-radius grid query that can only over-collect. The grid's
-  // squared-distance hit test and the sqrt-based predicate round
-  // differently within an ulp, hence the slack; the exact filter then
-  // decides membership.
+  // --- Plan phase: contiguous cell ranges per worker, every instance from
+  // the round's one candidate gather.
   shard_plans_.assign(n_users, select::Selection{});
   shard_feasible_.assign(n_users, 1);
   const bool memo_on = params_.memo.enabled;
@@ -733,7 +715,6 @@ bool Simulator::run_sessions_sharded(
         memo_on ? shard_memos_[static_cast<std::size_t>(w)].get() : nullptr;
     std::vector<std::int32_t> hits;
     select::SelectionInstance inst;
-    inst.travel = world_.travel();
     for (std::uint32_t c = c_lo; c < c_hi; ++c) {
       const std::uint32_t u_lo = shard_cell_start_[c];
       const std::uint32_t u_hi = shard_cell_start_[c + 1];
@@ -741,26 +722,11 @@ bool Simulator::run_sessions_sharded(
       // One memo table per cell: the table contents depend only on the
       // cell's users (processed in position order), never on which worker
       // owns the cell — hits, misses and plans are shard-count-invariant.
-      if (memo != nullptr) memo->begin_cell();
+      if (memo != nullptr) memo->begin_table();
       for (std::uint32_t idx = u_lo; idx < u_hi; ++idx) {
         const std::uint32_t pos = shard_users_[idx];
         if (shard_dropped_[pos] != 0) continue;
-        const model::User& u = world_.users()[pos];
-        inst.start = us.location[pos];
-        inst.time_budget = us.time_budget[pos];
-        inst.candidates.clear();
-        const Meters reach = inst.distance_budget();
-        hits.clear();
-        task_grid.for_each_in_radius(
-            inst.start, reach * (1.0 + 1e-12) + 1e-9,
-            [&hits](std::int32_t t) { hits.push_back(t); });
-        std::sort(hits.begin(), hits.end());
-        for (const std::int32_t t : hits) {
-          const auto ti = static_cast<std::size_t>(t);
-          if (geo::euclidean(inst.start, ts.location[ti]) > reach) continue;
-          if (u.has_contributed(ts.id[ti])) continue;
-          inst.candidates.push_back({ts.id[ti], ts.location[ti], price[ti]});
-        }
+        gather(pos, us.location[pos], price, hits, inst);
         if (memo == nullptr) {
           shard_plans_[pos] = solver.select(inst);
           shard_feasible_[pos] =
@@ -769,7 +735,7 @@ bool Simulator::run_sessions_sharded(
         }
         // Single-pass memo: the owner of every class precedes its hits in
         // position order within the cell, so classify/solve/publish can
-        // interleave without the legacy loop's phase barriers.
+        // interleave without the planned loop's phase barriers.
         const select::PlanMemo::Ticket ticket =
             memo->classify(inst, exact_limit);
         switch (ticket.outcome) {
@@ -832,9 +798,8 @@ bool Simulator::run_sessions_sharded(
   if (memo_on) {
     // Harvest the workers' counters into the campaign aggregate. Counts are
     // summed, so the result does not depend on which worker owned which
-    // cell; rounds advances once per sharded round.
+    // cell.
     select::PlanMemoStats agg = plan_memo_.stats();
-    ++agg.rounds;
     for (const auto& m : shard_memos_) {
       const select::PlanMemoStats& s = m->stats();
       agg.exact_hits += s.exact_hits;
@@ -937,19 +902,21 @@ const RoundMetrics& Simulator::step() {
                 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(k));
   order_rng.shuffle(visit_order);
 
-  // (3)+(4) Every user selects and performs a task set. The sharded loop
-  // gathers candidates from a spatial index, so only the legacy paths pay
-  // for the dense O(open^2) CandidatePool.
-  if (!want_sharded ||
-      !run_sessions_sharded(k, open, price, visit_order, rm)) {
-    const auto pool = build_round_pool(world_, price, open);
+  // (3)+(4) Every user selects and performs a task set. Every loop builds
+  // its instances with gather() from one task index per round, built here
+  // after the withdrawals — planning work, so it sits in the plan timer.
+  if (timed) t0 = mono_seconds();
+  index_round_tasks(open);
+  if (timed) phase_.plan += mono_seconds() - t0;
+  if (!want_sharded || !run_sessions_sharded(k, price, visit_order, rm)) {
     if (intra_round) {
-      run_sessions_intra_round(k, open, pool, visit_order, rm,
-                               session_mean_sum, priced_sessions);
+      run_sessions_intra_round(k, open, visit_order, rm, session_mean_sum,
+                               priced_sessions);
     } else {
-      run_sessions_planned(k, open, pool, price, visit_order, rm);
+      run_sessions_planned(k, price, visit_order, rm);
     }
   }
+  if (params_.memo.enabled && !intra_round) plan_memo_.count_round();
 
   // For intra-round mechanisms the round-start snapshot is not what users
   // were offered; replace it with the mean over the session prices.

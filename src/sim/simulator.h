@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "common/thread_pool.h"
+#include "geo/spatial_grid.h"
 #include "incentive/budget.h"
 #include "incentive/mechanism.h"
 #include "model/world.h"
@@ -46,8 +47,8 @@ struct SimulatorParams {
   FaultPlan faults;
   // Worker threads for the per-user planning phase of round-granularity
   // mechanisms (updates_within_round() == false). 1 = plan serially
-  // (default); 0 = one worker per hardware thread; n = exactly n. Prices,
-  // the open set and the candidate pool are frozen at round start, so every
+  // (default); 0 = one worker per hardware thread; n = exactly n. Prices
+  // and the round task index are frozen at round start, so every
   // user's selection instance and plan can be computed concurrently and
   // committed serially in visit order — the campaign is bit-identical at
   // any thread count (pinned by the plan-equivalence suite, including under
@@ -58,19 +59,14 @@ struct SimulatorParams {
   // Spatially sharded round execution for round-granularity mechanisms
   // (updates_within_round() == false). 0 = the legacy round loop (default);
   // n >= 1 = sharded with exactly n workers; kAutoShards = one worker per
-  // hardware thread. The sharded loop partitions users by the SpatialGrid
-  // cell of their round-start location, runs mobility/dropout and the
-  // per-user planning per shard on the plan workers, and commits serially
-  // in visit order. It never builds the dense CandidatePool (per-user
-  // candidates come from a spatial index over the open tasks, filtered by
-  // the exact reach predicate the DP front-end prunes with), which is what
-  // makes 10^6-user / 10^5-task rounds tractable. Campaigns are
-  // bit-identical at any shard count (pinned by the shard-equivalence
-  // suite); versus the legacy loop they are bit-identical whenever the
-  // selector's output is invariant under dropping candidates beyond the
-  // travel-distance budget (DP by construction, greedy by the triangle
-  // inequality — both pinned) and mobility draws no randomness
-  // (static-home, commute). Stochastic mobility uses per-user hash-seeded
+  // hardware thread. The sharded loop partitions users by the grid cell of
+  // their round-start location, runs mobility/dropout and the per-user
+  // planning per shard on the plan workers, and commits serially in visit
+  // order. Campaigns are bit-identical at any shard count (pinned by the
+  // shard-equivalence suite); every loop builds its instances with the
+  // same candidate gather, so versus the legacy loop they are bit-identical
+  // whenever mobility draws no randomness (static-home, commute).
+  // Stochastic mobility uses per-user hash-seeded
   // substreams instead of the serial draw stream: a different but equally
   // valid trajectory, still invariant across shard counts. Intra-round
   // mechanisms ignore this knob, and selectors without clone() fall back
@@ -166,10 +162,12 @@ class Simulator {
   Rng::State mobility_rng_state() const { return mobility_rng_.state(); }
 
   /// Publish rewards for the upcoming round exactly as step() would and
-  /// return the selection instance each user (indexed by id) would face —
-  /// without performing the round. Used for paired selector comparisons
-  /// (Fig. 5): different solvers can be evaluated on identical instances.
-  /// For intra-round mechanisms this reflects the round-start prices.
+  /// return the selection instance each user would face from its home —
+  /// indexed by the user's position in world().users() — without
+  /// performing the round. Each instance lists the user's reachable open
+  /// tasks (gather()). Used for paired selector comparisons (Fig. 5):
+  /// different solvers can be evaluated on identical instances. For
+  /// intra-round mechanisms this reflects the round-start prices.
   std::vector<select::SelectionInstance> peek_instances();
 
  private:
@@ -184,13 +182,34 @@ class Simulator {
   /// or the next prices() call.
   const std::vector<Money>& prices();
 
+  /// Side length of the round's grid cells — the task index and the
+  /// sharded loop's user buckets: area-derived (longest side / 64), so the
+  /// partition — and with it every per-cell memo table — is a pure function
+  /// of the world geometry, never of the worker count.
+  Meters grid_cell_size() const;
+
+  /// Build the round task index (round_rows_, round_grid_) over the open
+  /// task rows. Once per round, after withdrawals.
+  void index_round_tasks(const std::vector<bool>& open);
+
+  /// The candidate gather — the only way any loop builds a selection
+  /// instance. Fills `inst` for the user at position `pos` starting from
+  /// `start`: the indexed open tasks within the user's travel-distance
+  /// budget (the DP front-end's exact reach predicate, after an
+  /// inflated-radius grid query), not yet contributed to, with a positive
+  /// `price`, in ascending task-row order. `hits` is caller scratch; const
+  /// and reentrant, so plan workers gather concurrently.
+  void gather(std::uint32_t pos, geo::Point start,
+              const std::vector<Money>& price, std::vector<std::int32_t>& hits,
+              select::SelectionInstance& inst) const;
+
   /// Serial session loop for intra-round mechanisms: mobility, dropout,
   /// incremental reprice (dirty set = tasks the previous session touched),
   /// plan and commit, one user at a time in visit order. Each session
   /// commits as a one-user segment through the buffered pipeline.
+  /// Each session gathers at the live prices() of its reprice.
   void run_sessions_intra_round(
       Round k, const std::vector<bool>& open,
-      const std::shared_ptr<const select::CandidatePool>& pool,
       const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm,
       double& session_mean_sum, int& priced_sessions);
 
@@ -201,29 +220,21 @@ class Simulator {
   /// deliveries, payments and the remaining fault draws commit serially in
   /// visit order. Bit-identical to the serial loop at any thread count.
   /// `price` is the round's frozen prices() table.
-  void run_sessions_planned(
-      Round k, const std::vector<bool>& open,
-      const std::shared_ptr<const select::CandidatePool>& pool,
-      const std::vector<Money>& price,
-      const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm);
+  void run_sessions_planned(Round k, const std::vector<Money>& price,
+                            const std::vector<std::uint32_t>& visit_order,
+                            RoundMetrics& rm);
 
   /// Sharded session loop (SimulatorParams::shards): pre-pass and planning
   /// fan out over spatial shards, commit stays serial in visit order.
   /// Returns false when the selector cannot clone() — the caller then
-  /// builds the round pool and takes the legacy planned path.
-  bool run_sessions_sharded(Round k, const std::vector<bool>& open,
-                            const std::vector<Money>& price,
+  /// takes the legacy planned path.
+  bool run_sessions_sharded(Round k, const std::vector<Money>& price,
                             const std::vector<std::uint32_t>& visit_order,
                             RoundMetrics& rm);
 
   /// Shard worker count per SimulatorParams::shards (kAutoShards resolves
   /// to the hardware concurrency).
   int shard_worker_count() const;
-
-  /// Side length of the spatial shard cells: area-derived (longest side /
-  /// 64), so the partition — and with it every per-cell memo table — is a
-  /// pure function of the world geometry, never of the worker count.
-  Meters shard_cell_size() const;
 
   /// Commit phase A for one user (sim/commit.h): walk `pos`'s planned tour
   /// — abandonment/upload fault draws, the user's own rows (location,
@@ -259,8 +270,6 @@ class Simulator {
   /// position), serially or sharded across the plan workers — the batch
   /// primitive shared by the plain plan phase and the memo's solve waves.
   void solve_positions(const std::vector<std::uint32_t>& positions,
-                       const std::vector<bool>& open,
-                       const std::shared_ptr<const select::CandidatePool>& pool,
                        const std::vector<Money>& price,
                        std::vector<select::Selection>& plans,
                        std::vector<char>& feasible);
@@ -285,11 +294,16 @@ class Simulator {
   // so resizing one phase's worker count never thrashes the other's
   // selector clones.
   std::unique_ptr<ThreadPool> reprice_pool_;
-  // Cross-user plan memo (params_.memo); table rebuilt per round, stats
-  // cumulative over the campaign.
+  // Cross-user plan memo (params_.memo); the planned loop's one table per
+  // round, stats cumulative over the campaign (the sharded loop's too).
   select::PlanMemo plan_memo_;
-  // Sharded-loop state: one poolless PlanMemo per shard worker (tables are
-  // per-cell, stats harvested into plan_memo_ each round) plus persistent
+  // Round task index (index_round_tasks): the open task rows, ascending,
+  // and a frozen grid over their locations whose point ids index
+  // round_rows_.
+  std::vector<std::uint32_t> round_rows_;
+  geo::FrozenGrid round_grid_;
+  // Sharded-loop state: one PlanMemo per shard worker (tables are per
+  // cell, stats harvested into plan_memo_ each round) plus persistent
   // scratch so the steady state stays allocation-free.
   std::vector<std::unique_ptr<select::PlanMemo>> shard_memos_;
   std::vector<char> shard_dropped_;            // per user position, per round

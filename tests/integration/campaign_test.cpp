@@ -3,7 +3,10 @@
 // main selectors.
 #include <gtest/gtest.h>
 
+#include <cctype>
+#include <ostream>
 #include <set>
+#include <string>
 
 #include "exp/runner.h"
 #include "incentive/mechanism.h"
@@ -20,6 +23,18 @@ struct CampaignCase {
 };
 
 class CampaignInvariants : public ::testing::TestWithParam<CampaignCase> {};
+
+// gtest prints the parameter into the listed test, and ctest names the
+// test after it: print the names, e.g. "on_demand_greedy_2opt", instead of
+// the default byte dump.
+void PrintTo(const CampaignCase& cc, std::ostream* os) {
+  std::string name = std::string(incentive::mechanism_name(cc.mechanism)) +
+                     '_' + select::selector_name(cc.selector);
+  for (char& ch : name) {
+    if (std::isalnum(static_cast<unsigned char>(ch)) == 0) ch = '_';
+  }
+  *os << name;
+}
 
 TEST_P(CampaignInvariants, HoldOverFullCampaign) {
   const CampaignCase cc = GetParam();

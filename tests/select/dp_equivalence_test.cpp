@@ -1,6 +1,6 @@
 // Equivalence pins for the optimized DpSelector (scratch arena, bit
-// iteration, fused best scan, admissible state prune, shared candidate
-// pool): the returned Selection must be IDENTICAL — same visiting order and
+// iteration, fused best scan, admissible state prune): the returned
+// Selection must be IDENTICAL — same visiting order and
 // bit-identical economics, not merely the same profit — to the
 // straightforward pre-optimization DP, reproduced verbatim below as the
 // oracle. Profits are additionally cross-checked against the independent
@@ -10,7 +10,6 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <memory>
 #include <numeric>
 #include <vector>
 
@@ -18,7 +17,6 @@
 #include "geo/distance.h"
 #include "select/branch_bound_selector.h"
 #include "select/brute_force_selector.h"
-#include "select/candidate_pool.h"
 #include "select/dp_selector.h"
 #include "select/travel_graph.h"
 
@@ -33,8 +31,6 @@ namespace {
 
 SelectionInstance reference_prune(const SelectionInstance& instance, int cap) {
   SelectionInstance pruned = instance;
-  pruned.pool.reset();
-  pruned.pool_index.clear();
   const Meters budget = instance.distance_budget();
   std::erase_if(pruned.candidates, [&](const Candidate& c) {
     return geo::euclidean(instance.start, c.location) > budget;
@@ -209,43 +205,6 @@ TEST(DpEquivalence, OptimizedDpBitIdenticalToReferenceOracle) {
   }
 }
 
-TEST(DpEquivalence, SharedPoolIsBitInvisible) {
-  // A pooled instance (the simulator's per-round shape, including the
-  // has-contributed subset filter) must select exactly what the poolless
-  // instance selects — for the DP and for branch-and-bound, whose
-  // TravelGraph also reads the pool.
-  const DpSelector dp(14);
-  const BranchBoundSelector bb;
-  Rng rr(0xbeefULL);
-  for (int t = 0; t < 30; ++t) {
-    const int round_m = static_cast<int>(rr.uniform_int(2, 14));
-    SelectionInstance round =
-        random_instance(rr, round_m, rr.uniform(300.0, 1200.0), 0.002, 2500.0);
-    auto pool = std::make_shared<const CandidatePool>(round.candidates);
-
-    // Subset-filter candidates like has_contributed would.
-    SelectionInstance plain;
-    plain.start = {rr.uniform(0.0, 2500.0), rr.uniform(0.0, 2500.0)};
-    plain.travel = round.travel;
-    plain.time_budget = round.time_budget;
-    SelectionInstance pooled = plain;
-    pooled.pool = pool;
-    for (int i = 0; i < round_m; ++i) {
-      if (rr.uniform(0.0, 1.0) < 0.3) continue;  // "already contributed"
-      plain.candidates.push_back(round.candidates[static_cast<std::size_t>(i)]);
-      pooled.candidates.push_back(round.candidates[static_cast<std::size_t>(i)]);
-      pooled.pool_index.push_back(i);
-    }
-
-    expect_selection_identical(dp.select(pooled), dp.select(plain),
-                               "pooled vs plain dp");
-    expect_selection_identical(bb.select(pooled), bb.select(plain),
-                               "pooled vs plain bb");
-    expect_selection_identical(
-        dp.select(pooled), reference_dp_select(plain, 14), "pooled vs oracle");
-  }
-}
-
 TEST(DpEquivalence, ArenaCarriesNoStateBetweenInstances) {
   // Solving a large instance then a small one (and vice versa) out of the
   // same arena must match fresh selectors exactly.
@@ -272,14 +231,12 @@ TEST(PruneCandidatesInto, MatchesReferencePrune) {
         random_instance(rng, m, rng.uniform(100.0, 1200.0), 0.002, 2500.0);
     const SelectionInstance want = reference_prune(inst, 10);
     std::vector<Candidate> kept;
-    std::vector<std::int32_t> kept_rows;
-    prune_candidates_into(inst, 10, kept, kept_rows);
+    prune_candidates_into(inst, 10, kept);
     ASSERT_EQ(kept.size(), want.candidates.size());
     for (std::size_t i = 0; i < kept.size(); ++i) {
       EXPECT_EQ(kept[i].task, want.candidates[i].task);
       EXPECT_EQ(kept[i].reward, want.candidates[i].reward);
     }
-    EXPECT_TRUE(kept_rows.empty());  // no pool on these instances
   }
 }
 

@@ -1,10 +1,18 @@
 // Cross-solver properties: on random instances small enough for the
 // exhaustive oracle, DP == brute force == branch-and-bound (same optimal
-// profit), and every solver dominates greedy.
+// profit), every solver dominates greedy, and the simulator's solvers are
+// blind to candidates beyond the travel-distance budget.
 #include <gtest/gtest.h>
+
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <ostream>
+#include <vector>
 
 #include "common/error.h"
 #include "common/rng.h"
+#include "geo/distance.h"
 #include "select/branch_bound_selector.h"
 #include "select/brute_force_selector.h"
 #include "select/dp_selector.h"
@@ -20,6 +28,29 @@ struct Scenario {
   double cost_per_meter;
 };
 
+// gtest prints the parameter into the listed test, and ctest names the
+// test after it: print the fields, e.g. "m7_1500s_2perkm". The default
+// printer would dump the struct's bytes, uninitialised padding included,
+// so the test names would change from build to build.
+void PrintTo(const Scenario& sc, std::ostream* os) {
+  *os << 'm' << sc.num_candidates << '_' << static_cast<int>(sc.budget_s)
+      << "s_" << std::lround(sc.cost_per_meter * 1000) << "perkm";
+}
+
+void expect_bit_identical(const Selection& a, const Selection& b,
+                          const char* solver, int trial) {
+  EXPECT_EQ(a.order, b.order) << solver << " trial " << trial;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.distance),
+            std::bit_cast<std::uint64_t>(b.distance))
+      << solver << " trial " << trial;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.reward),
+            std::bit_cast<std::uint64_t>(b.reward))
+      << solver << " trial " << trial;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(a.cost),
+            std::bit_cast<std::uint64_t>(b.cost))
+      << solver << " trial " << trial;
+}
+
 class SolverEquivalence : public ::testing::TestWithParam<Scenario> {};
 
 TEST_P(SolverEquivalence, OptimalSolversAgreeAndDominateGreedy) {
@@ -28,6 +59,7 @@ TEST_P(SolverEquivalence, OptimalSolversAgreeAndDominateGreedy) {
   const BruteForceSelector brute(9);
   const BranchBoundSelector bb;
   const GreedySelector greedy;
+  const GreedySelector greedy_2opt(/*improve_with_two_opt=*/true);
 
   Rng rng(static_cast<std::uint64_t>(sc.num_candidates) * 1000 +
           static_cast<std::uint64_t>(sc.budget_s));
@@ -55,6 +87,23 @@ TEST_P(SolverEquivalence, OptimalSolversAgreeAndDominateGreedy) {
     EXPECT_TRUE(is_feasible(inst, s_dp));
     EXPECT_TRUE(is_feasible(inst, s_bf));
     EXPECT_TRUE(is_feasible(inst, s_bb));
+
+    // The simulator lists only the candidates whose start leg fits the
+    // travel-distance budget. Every solver it runs campaigns with must be
+    // blind to that filter, bit for bit. ILS is not in the list: it seeds
+    // its perturbation stream from candidates.size(). Neither is beam
+    // search: its completion bound counts unreachable candidates through
+    // TravelGraph::min_incoming().
+    SelectionInstance reach = inst;
+    std::erase_if(reach.candidates, [&](const Candidate& c) {
+      return geo::euclidean(inst.start, c.location) > inst.distance_budget();
+    });
+    expect_bit_identical(dp.select(reach), s_dp, "dp", trial);
+    expect_bit_identical(brute.select(reach), s_bf, "brute-force", trial);
+    expect_bit_identical(bb.select(reach), s_bb, "branch-bound", trial);
+    expect_bit_identical(greedy.select(reach), s_gr, "greedy", trial);
+    expect_bit_identical(greedy_2opt.select(reach), greedy_2opt.select(inst),
+                         "greedy+2opt", trial);
   }
 }
 

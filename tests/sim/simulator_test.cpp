@@ -8,7 +8,6 @@
 #include "geo/distance.h"
 #include "incentive/fixed_mechanism.h"
 #include "incentive/on_demand_mechanism.h"
-#include "select/candidate_pool.h"
 #include "select/selector.h"
 #include "sim/scenario.h"
 
@@ -152,16 +151,72 @@ TEST(Simulator, PeekInstancesDoesNotMutateState) {
   ASSERT_EQ(insts.size(), 3u);
   EXPECT_EQ(s.world().total_received(), 0);
   EXPECT_EQ(s.current_round(), 0);
-  // Users near (0,0) see the near task as a candidate; the far corner task
-  // (1273 m away) exceeds every budget and is still listed as a candidate —
-  // filtering by reachability is the selector's job, not the instance's.
-  for (const auto& inst : insts) {
-    EXPECT_EQ(inst.candidates.size(), 2u);
+  // An instance lists the reachable open tasks: users near (0,0) see the
+  // near task; the far corner task (1273 m away) exceeds every budget and
+  // is not listed. Checked against a brute-force filter over every task.
+  for (std::size_t pos = 0; pos < insts.size(); ++pos) {
+    const auto& inst = insts[pos];
+    const model::User& u = s.world().users()[pos];
+    EXPECT_EQ(inst.start, u.home());
     EXPECT_DOUBLE_EQ(inst.time_budget, 600.0);
+    std::vector<TaskId> reachable;
+    for (const model::Task& t : s.world().tasks()) {
+      if (geo::euclidean(u.home(), t.location()) <= inst.distance_budget() &&
+          !u.has_contributed(t.id())) {
+        reachable.push_back(t.id());
+      }
+    }
+    std::vector<TaskId> listed;
+    for (const auto& c : inst.candidates) listed.push_back(c.task);
+    EXPECT_EQ(listed, reachable);
+    EXPECT_EQ(inst.candidates.size(), 1u);
   }
   // Stepping afterwards behaves exactly like a fresh simulator.
   Simulator fresh = make_sim(tiny_world());
   EXPECT_EQ(s.step().new_measurements, fresh.step().new_measurements);
+}
+
+TEST(Simulator, PeekInstancesListTheReachableOpenTasks) {
+  // Mid-campaign, every peeked instance equals a brute-force filter over
+  // all tasks, in task order: open at the next round, priced, not yet
+  // contributed by the user, and within the user's travel-distance budget.
+  ScenarioParams p;
+  p.num_users = 60;
+  p.num_tasks = 40;
+  Rng rng(11);
+  Simulator s = make_sim(generate_world(p, rng));
+  for (int k = 0; k < 3; ++k) s.step();
+  const auto insts = s.peek_instances();
+  const Round next = s.current_round() + 1;
+  ASSERT_EQ(insts.size(), s.world().num_users());
+  std::size_t listed = 0;
+  std::size_t open_pairs = 0;
+  for (std::size_t pos = 0; pos < insts.size(); ++pos) {
+    const auto& inst = insts[pos];
+    const model::User& u = s.world().users()[pos];
+    EXPECT_EQ(inst.start, u.home());
+    std::vector<select::Candidate> want;
+    for (const model::Task& t : s.world().tasks()) {
+      const Money price = s.mechanism().reward(t.id());
+      if (t.completed() || t.expired_at(next) || price <= 0.0) continue;
+      ++open_pairs;
+      if (u.has_contributed(t.id())) continue;
+      if (geo::euclidean(u.home(), t.location()) > inst.distance_budget()) {
+        continue;
+      }
+      want.push_back({t.id(), t.location(), price});
+    }
+    ASSERT_EQ(inst.candidates.size(), want.size()) << "user " << pos;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(inst.candidates[i].task, want[i].task);
+      EXPECT_EQ(inst.candidates[i].location, want[i].location);
+      EXPECT_EQ(inst.candidates[i].reward, want[i].reward);
+    }
+    listed += want.size();
+  }
+  // The filter bites: some open tasks are listed, and some are out of reach.
+  EXPECT_GT(listed, 0u);
+  EXPECT_LT(listed, open_pairs);
 }
 
 TEST(Simulator, FixedMechanismCountsArePaidAtFixedRate) {
@@ -267,29 +322,6 @@ TEST(Simulator, RoundMetricsIndexRewardsByTaskIdNotPosition) {
   EXPECT_EQ(s.world().task(20).received(), 1);
   EXPECT_DOUBLE_EQ(s.world().task(10).measurements()[0].reward_paid, 2.0);
   EXPECT_DOUBLE_EQ(s.world().task(20).measurements()[0].reward_paid, 3.0);
-}
-
-TEST(Simulator, PeekInstancesShareRoundPool) {
-  // Every instance of a round points at one shared CandidatePool whose
-  // distance block matches a direct recomputation.
-  Simulator s = make_sim(tiny_world());
-  const auto instances = s.peek_instances();
-  ASSERT_EQ(instances.size(), 3u);
-  const auto& pool = instances[0].pool;
-  ASSERT_NE(pool, nullptr);
-  for (const auto& inst : instances) {
-    EXPECT_EQ(inst.pool.get(), pool.get());
-    ASSERT_TRUE(inst.has_pool());
-    for (std::size_t i = 0; i < inst.candidates.size(); ++i) {
-      const auto row = static_cast<std::size_t>(inst.pool_index[i]);
-      EXPECT_EQ(pool->candidates()[row].task, inst.candidates[i].task);
-      for (std::size_t j = 0; j < inst.candidates.size(); ++j) {
-        EXPECT_EQ(pool->dist(row, static_cast<std::size_t>(inst.pool_index[j])),
-                  geo::euclidean(inst.candidates[i].location,
-                                 inst.candidates[j].location));
-      }
-    }
-  }
 }
 
 }  // namespace
