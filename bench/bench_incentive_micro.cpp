@@ -1,6 +1,7 @@
 // Microbenchmarks for the platform-side per-round work: AHP weight
 // extraction, demand evaluation over a full world, neighbor counting via
-// the spatial grid, repricing, and a whole simulated round.
+// the spatial grid (lazy reads and the round-start recount), repricing,
+// and a whole simulated round.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -10,6 +11,7 @@
 #include "ahp/comparison_matrix.h"
 #include "ahp/weights.h"
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "incentive/demand.h"
 #include "incentive/demand_level.h"
 #include "incentive/on_demand_mechanism.h"
@@ -193,6 +195,52 @@ void BM_RepriceFastPath(benchmark::State& state) {
                  : static_cast<double>(repriced) / static_cast<double>(iters);
 }
 
+// The round-start neighbor recount: every user moved since the last
+// refresh (as after a round of tours), so refresh_neighbor_cache() takes
+// the recount side of its cost model at 1 and at 4 workers. The counters
+// are the regression gate tier1.sh greps: allocs_per_iter must read 0.00
+// once warm (the user grid is rebuilt in place, the count pass fans out
+// without heap traffic), and recounts_per_iter 1.00 proves the recount —
+// not the delta sync — is what ran.
+void BM_NeighborRecountSteadyState(benchmark::State& state) {
+  const int workers = static_cast<int>(state.range(0));
+  sim::ScenarioParams params;
+  params.area_side = 6000.0;
+  params.num_tasks = 2000;
+  params.num_users = 20000;
+  params.neighbor_radius = 150.0;
+  Rng rng(7);
+  model::World world = sim::generate_world(params, rng);
+  ThreadPool pool(workers);
+  std::vector<geo::Point>& loc = world.user_store_mut().location;
+  double shift = 1.0;
+  const auto move_everyone = [&] {
+    shift = -shift;
+    for (geo::Point& p : loc) p.x += shift;
+  };
+  world.refresh_neighbor_cache(&pool, workers);  // first use: full rebuild
+  move_everyone();
+  world.refresh_neighbor_cache(&pool, workers);  // warm the recount path
+  (void)world.take_neighbor_changes();
+  const std::uint64_t before = g_new_calls.load(std::memory_order_relaxed);
+  std::uint64_t iters = 0;
+  std::uint64_t recounts = 0;
+  for (auto _ : state) {
+    move_everyone();
+    world.refresh_neighbor_cache(&pool, workers);
+    recounts += world.take_neighbor_changes().rebuilt ? 1 : 0;
+    ++iters;
+  }
+  const std::uint64_t after = g_new_calls.load(std::memory_order_relaxed);
+  state.counters["allocs_per_iter"] =
+      iters == 0 ? 0.0
+                 : static_cast<double>(after - before) /
+                       static_cast<double>(iters);
+  state.counters["recounts_per_iter"] =
+      iters == 0 ? 0.0
+                 : static_cast<double>(recounts) / static_cast<double>(iters);
+}
+
 void BM_FullRound(benchmark::State& state) {
   sim::ScenarioParams params;
   params.num_users = static_cast<int>(state.range(0));
@@ -219,4 +267,5 @@ BENCHMARK(BM_NeighborCounts)->Arg(40)->Arg(140)->Arg(1000);
 BENCHMARK(BM_UpdateRewardsSteadyState)->Arg(20)->Arg(100)->Arg(500);
 BENCHMARK(BM_RepriceDirtySession)->Arg(20)->Arg(100)->Arg(500);
 BENCHMARK(BM_RepriceFastPath)->Arg(20)->Arg(100)->Arg(500);
+BENCHMARK(BM_NeighborRecountSteadyState)->Arg(1)->Arg(4)->UseRealTime();
 BENCHMARK(BM_FullRound)->Arg(40)->Arg(100)->Arg(140);

@@ -58,7 +58,7 @@ if [[ "${SKIP_TSAN}" == "1" ]]; then
   echo "tier1: skipping ThreadSanitizer stage"
 else
   cmake -B build-tsan -S . -DMCS_TSAN=ON
-  cmake --build build-tsan -j "${JOBS}" --target test_common test_integration test_sim
+  cmake --build build-tsan -j "${JOBS}" --target test_common test_model test_integration test_sim
   # PlanEquivalence drives the parallel plan / serial commit path at thread
   # counts 2 and 8 — plan workers gathering candidates concurrently from the
   # round's shared, frozen task index — so it must stay in the TSan net
@@ -74,8 +74,10 @@ else
   # one-user-at-a-time reference (the intra-round session loop at frozen
   # prices) at shard counts 0-8 and auto and plan threads 1 and 4 — every
   # thread-local effect buffer and its merge runs under TSan here.
+  # NeighborCache drives the round-start recount's pooled count pass (up to
+  # 4 workers writing disjoint count slots against one shared user grid).
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan --output-on-failure \
-    -R 'ThreadPool|ParallelForEach|ParallelRunner|Determinism|Runner|Simulator|PlanEquivalence|PlanMemoEquivalence|RepriceEquivalence|ShardEquivalence|CommitEquivalence'
+    -R 'ThreadPool|ParallelForEach|ParallelRunner|Determinism|Runner|Simulator|PlanEquivalence|PlanMemoEquivalence|RepriceEquivalence|ShardEquivalence|CommitEquivalence|NeighborCache'
 fi
 
 if [[ "${SKIP_ASAN}" == "1" ]]; then
@@ -153,6 +155,19 @@ else
   fi
   if ! grep -Eq 'allocs_per_iter=0($|[^.0-9])' <<<"${REPRICE_OUT}"; then
     echo "tier1: BM_RepriceFastPath allocates in steady state" >&2
+    exit 1
+  fi
+  # The round-start neighbor recount (every user moved) must stay off the
+  # heap at 1 and at 4 workers: the user grid is rebuilt in place and the
+  # pooled count pass submits closures that fit std::function's inline
+  # storage into a queue that reuses its slots.
+  RECOUNT_OUT="$(./build-release/bench/bench_incentive_micro --benchmark_min_time=0.01 \
+    --benchmark_filter='BM_NeighborRecountSteadyState/(1|4)/')"
+  echo "${RECOUNT_OUT}" | tail -n 2
+  if [[ "$(grep -c 'BM_NeighborRecountSteadyState' <<<"${RECOUNT_OUT}")" != 2 ]] ||
+     [[ "$(grep -Ec 'allocs_per_iter=0($|[^.0-9])' <<<"${RECOUNT_OUT}")" != 2 ]] ||
+     [[ "$(grep -Ec 'recounts_per_iter=1($|[^.0-9])' <<<"${RECOUNT_OUT}")" != 2 ]]; then
+    echo "tier1: BM_NeighborRecountSteadyState allocates or skips the recount" >&2
     exit 1
   fi
 fi

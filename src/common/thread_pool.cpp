@@ -44,7 +44,7 @@ void ThreadPool::submit(std::function<void()> task) {
 
 void ThreadPool::wait_idle() {
   std::unique_lock<std::mutex> lock(mu_);
-  idle_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
+  idle_.wait(lock, [this] { return pending() == 0 && active_ == 0; });
 }
 
 void ThreadPool::worker_loop() {
@@ -52,17 +52,23 @@ void ThreadPool::worker_loop() {
     std::function<void()> task;
     {
       std::unique_lock<std::mutex> lock(mu_);
-      has_work_.wait(lock, [this] { return stop_ || !queue_.empty(); });
-      if (queue_.empty()) return;  // stop requested and queue drained
-      task = std::move(queue_.front());
-      queue_.pop_front();
+      has_work_.wait(lock, [this] { return stop_ || pending() != 0; });
+      if (pending() == 0) return;  // stop requested and queue drained
+      task = std::move(queue_[head_++]);
+      if (head_ == queue_.size()) {
+        // Drained: rewind so the next batch reuses the same slots. Every
+        // caller in this codebase submits a batch and waits for it, so the
+        // consumed prefix never outgrows one batch.
+        queue_.clear();
+        head_ = 0;
+      }
       ++active_;
     }
     task();
     {
       const std::lock_guard<std::mutex> lock(mu_);
       --active_;
-      if (queue_.empty() && active_ == 0) idle_.notify_all();
+      if (pending() == 0 && active_ == 0) idle_.notify_all();
     }
   }
 }
@@ -120,20 +126,30 @@ void parallel_ranges_impl(
     return;
   }
 
-  std::mutex error_mu;
-  std::exception_ptr first_error;
+  // The ranges share one frame, so each submitted closure is a pointer and
+  // an index: small enough for std::function's inline storage, which keeps
+  // a steady-state fan-out off the heap.
+  struct Shared {
+    const std::function<void(std::size_t, std::size_t, std::size_t)>& fn;
+    std::size_t n;
+    std::size_t w;
+    std::mutex error_mu;
+    std::exception_ptr first_error;
+  } shared{fn, n, w, {}, nullptr};
   for (std::size_t s = 0; s < w; ++s) {
-    pool->submit([&, s] {
+    pool->submit([sh = &shared, s] {
       try {
-        fn(s, s * n / w, (s + 1) * n / w);
+        sh->fn(s, s * sh->n / sh->w, (s + 1) * sh->n / sh->w);
       } catch (...) {
-        const std::lock_guard<std::mutex> lock(error_mu);
-        if (first_error == nullptr) first_error = std::current_exception();
+        const std::lock_guard<std::mutex> lock(sh->error_mu);
+        if (sh->first_error == nullptr) {
+          sh->first_error = std::current_exception();
+        }
       }
     });
   }
   pool->wait_idle();
-  if (first_error != nullptr) std::rethrow_exception(first_error);
+  if (shared.first_error != nullptr) std::rethrow_exception(shared.first_error);
 }
 
 }  // namespace mcs

@@ -11,7 +11,6 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <functional>
 #include <mutex>
 #include <thread>
@@ -27,7 +26,9 @@ int resolve_threads(int requested);
 /// Fixed-size pool of worker threads draining a FIFO task queue. Tasks must
 /// not throw (wrap work that can fail and capture the error yourself;
 /// parallel_for_each below does exactly that). Destruction drains the queue
-/// and joins the workers.
+/// and joins the workers. The queue reuses its slots once drained, so
+/// submitting a closure that fits std::function's inline storage (a pointer
+/// and an index) allocates nothing after the first batch of that size.
 class ThreadPool {
  public:
   /// `threads` follows resolve_threads(): 0 = hardware concurrency.
@@ -47,9 +48,12 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  std::size_t pending() const { return queue_.size() - head_; }
 
   std::vector<std::thread> workers_;
-  std::deque<std::function<void()>> queue_;
+  // FIFO: queue_[head_..] are waiting, the prefix is consumed.
+  std::vector<std::function<void()>> queue_;
+  std::size_t head_ = 0;
   std::mutex mu_;
   std::condition_variable has_work_;
   std::condition_variable idle_;

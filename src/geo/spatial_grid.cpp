@@ -136,9 +136,15 @@ std::int32_t SpatialGrid::nearest(Point center, double* out_distance) const {
 }
 
 FrozenGrid::FrozenGrid(BoundingBox bounds, double cell_size,
-                       const std::vector<Point>& points)
-    : bounds_(bounds), cell_size_(cell_size) {
+                       const std::vector<Point>& points) {
+  rebuild(bounds, cell_size, points);
+}
+
+void FrozenGrid::rebuild(BoundingBox bounds, double cell_size,
+                         const std::vector<Point>& points) {
   MCS_CHECK(cell_size > 0.0, "spatial grid cell size must be positive");
+  bounds_ = bounds;
+  cell_size_ = cell_size;
   nx_ = std::max(1, static_cast<int>(std::ceil(bounds.width() / cell_size)));
   ny_ = std::max(1, static_cast<int>(std::ceil(bounds.height() / cell_size)));
   const std::size_t n_cells =
@@ -147,7 +153,10 @@ FrozenGrid::FrozenGrid(BoundingBox bounds, double cell_size,
 
   // Stable counting sort by cell: count, exclusive prefix, scatter in point
   // order — each cell's entries end up in ascending point index, matching a
-  // SpatialGrid filled by inserting points 0..n-1 in order.
+  // SpatialGrid filled by inserting points 0..n-1 in order. The scatter
+  // uses offsets_ itself as the per-cell cursor (recomputing each point's
+  // cell instead of caching it), so the only storage is the three member
+  // arrays, reused across rebuilds.
   const auto cell_of = [&](Point p) {
     const Point c = bounds_.clamp(p);
     int cx = static_cast<int>((c.x - bounds_.lo.x) / cell_size_);
@@ -158,20 +167,19 @@ FrozenGrid::FrozenGrid(BoundingBox bounds, double cell_size,
            static_cast<std::size_t>(cx);
   };
   offsets_.assign(n_cells + 1, 0);
-  std::vector<std::uint32_t> cell(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    cell[i] = static_cast<std::uint32_t>(cell_of(points[i]));
-    ++offsets_[cell[i] + 1];
-  }
+  for (const Point& p : points) ++offsets_[cell_of(p) + 1];
   for (std::size_t c = 0; c < n_cells; ++c) offsets_[c + 1] += offsets_[c];
   points_.resize(n);
   ids_.resize(n);
-  std::vector<std::uint32_t> cursor(offsets_.begin(), offsets_.end() - 1);
+  // offsets_[c] walks from the start of cell c to its end, which is the
+  // start of cell c + 1; shifting the array up by one slot restores it.
   for (std::size_t i = 0; i < n; ++i) {
-    const std::uint32_t slot = cursor[cell[i]]++;
+    const std::uint32_t slot = offsets_[cell_of(points[i])]++;
     points_[slot] = points[i];
     ids_[slot] = static_cast<std::int32_t>(i);
   }
+  std::copy_backward(offsets_.begin(), offsets_.end() - 1, offsets_.end());
+  offsets_[0] = 0;
 }
 
 void FrozenGrid::cell_range(Point center, double radius, int& cx0, int& cy0,

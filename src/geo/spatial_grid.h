@@ -109,6 +109,13 @@ class FrozenGrid {
   FrozenGrid(BoundingBox bounds, double cell_size,
              const std::vector<Point>& points);
 
+  /// Re-snapshot in place: the result equals a freshly constructed grid
+  /// over the same arguments, but the CSR arrays keep their capacity, so a
+  /// rebuild whose cell count and point count fit what an earlier build
+  /// sized allocates nothing.
+  void rebuild(BoundingBox bounds, double cell_size,
+               const std::vector<Point>& points);
+
   std::size_t size() const { return ids_.size(); }
 
   /// Number of points with distance(center, p) <= radius.

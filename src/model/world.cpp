@@ -1,5 +1,6 @@
 #include "model/world.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "common/error.h"
@@ -184,20 +185,36 @@ bool World::neighbor_cache_usable() const {
   return true;
 }
 
-void World::rebuild_neighbor_grids() const {
-  // Cell size = query radius keeps the scan at a 3x3 cell neighborhood.
-  // Both grids are frozen CSR snapshots of the position columns: the task
-  // grid stays exact until the next rebuild (task locations are immutable
-  // between rebuilds by the usable() contract), and the user grid is only
-  // read by the rebuild count pass below — user movement afterwards makes
-  // it stale, which is fine because the delta sync never consults it.
-  const double cell =
-      neighbor_radius_ > 0.0 ? neighbor_radius_ : area_.diameter();
-  ncache_.user_pos.assign(ustore_->location.begin(), ustore_->location.end());
-  ncache_.user_grid = geo::FrozenGrid(area_, cell, ncache_.user_pos);
+void World::rebuild_neighbor_cache(ThreadPool* pool, int workers) const {
+  // Task grid at cell size = query radius (the delta sync's 3x3-cell task
+  // query). It stays exact until the next rebuild: task locations are
+  // immutable between rebuilds by the usable() contract.
   ncache_.task_pos.assign(tstore_->location.begin(), tstore_->location.end());
-  ncache_.task_grid = geo::FrozenGrid(area_, cell, ncache_.task_pos);
+  ncache_.task_grid.rebuild(area_, neighbor_cell(), ncache_.task_pos);
+  recount_neighbor_cache(pool, workers);
+}
+
+void World::recount_neighbor_cache(ThreadPool* pool, int workers) const {
+  // Snapshot the user positions into a frozen user grid (same cell size as
+  // the task grid) and count every task against it. The grid is only read
+  // by this count pass: user movement afterwards makes it stale, which is
+  // fine because the delta sync never consults it. The per-task counting —
+  // the O(T * users-in-3x3-cells) bulk — fans out over disjoint count slots
+  // with the exact predicate of a serial pass, so counts are identical at
+  // any worker count. Every array is reused, so a recount at unchanged
+  // sizes allocates nothing.
+  ncache_.user_pos.assign(ustore_->location.begin(), ustore_->location.end());
+  ncache_.user_grid.rebuild(area_, neighbor_cell(), ncache_.user_pos);
   ncache_.counts.resize(tstore_->size());
+  parallel_ranges(pool, workers, tstore_->size(),
+                  [this](std::size_t, std::size_t lo, std::size_t hi) {
+                    for (std::size_t i = lo; i < hi; ++i) {
+                      ncache_.counts[i] =
+                          static_cast<int>(ncache_.user_grid.count_radius(
+                              ncache_.task_pos[i], neighbor_radius_));
+                    }
+                  });
+  rebuild_neighbor_derived();
 }
 
 void World::rebuild_neighbor_derived() const {
@@ -224,43 +241,31 @@ void World::rebuild_neighbor_derived() const {
   ncache_.valid = true;
 }
 
-void World::rebuild_neighbor_cache() const {
-  rebuild_neighbor_grids();
-  for (std::size_t i = 0; i < tstore_->size(); ++i) {
-    ncache_.counts[i] = static_cast<int>(
-        ncache_.user_grid.count_radius(ncache_.task_pos[i],
-                                       neighbor_radius_));
-  }
-  rebuild_neighbor_derived();
-}
-
-void World::warm_neighbor_cache(ThreadPool& pool, int workers) const {
+void World::refresh_neighbor_cache(ThreadPool* pool, int workers) const {
   MCS_NCACHE_GUARD(ncache_busy_);
-  if (neighbor_cache_usable()) return;  // delta sync stays lazy and serial
-  if (workers <= 1 || tstore_->size() < 2) {
-    rebuild_neighbor_cache();
+  const int w = pool == nullptr ? 1 : std::max(workers, 1);
+  if (!neighbor_cache_usable()) {
+    rebuild_neighbor_cache(pool, w);
     return;
   }
-  // Grid construction is serial (the CSR counting sort is one pass); the
-  // per-task counting — the O(T * users-in-3x3-cells) bulk of a rebuild —
-  // fans out over disjoint count slots against the frozen user grid, with
-  // the exact predicate of the serial rebuild.
-  rebuild_neighbor_grids();
-  const std::size_t n = tstore_->size();
-  const auto w = static_cast<std::size_t>(workers);
-  for (std::size_t s = 0; s < w; ++s) {
-    pool.submit([this, s, w, n] {
-      const std::size_t lo = s * n / w;
-      const std::size_t hi = (s + 1) * n / w;
-      for (std::size_t i = lo; i < hi; ++i) {
-        ncache_.counts[i] = static_cast<int>(
-            ncache_.user_grid.count_radius(ncache_.task_pos[i],
-                                           neighbor_radius_));
-      }
-    });
+  const std::size_t users = ustore_->size();
+  std::size_t moved = 0;
+  for (std::size_t i = 0; i < users; ++i) {
+    if (!(ustore_->location[i] == ncache_.user_pos[i])) ++moved;
   }
-  pool.wait_idle();
-  rebuild_neighbor_derived();
+  // Cost model. Both grids share one cell size c (the radius), so a radius
+  // query scans 3x3 cells: a task-grid query visits ~9c^2 * T/A entries and
+  // a user-grid query ~9c^2 * U/A (A = area, uniform density). The delta
+  // sync runs two task-grid queries per mover, ~2 * moved * 9c^2 * T/A; a
+  // recount runs one user-grid query per task, split over the workers,
+  // ~T * 9c^2 * U/A / w. The 9c^2 * T/A factor cancels, so recounting is
+  // cheaper exactly when 2 * moved * w > U. Either side yields the same
+  // integer counts, so the choice only moves wall time.
+  if (2 * moved * static_cast<std::size_t>(w) > users) {
+    recount_neighbor_cache(pool, w);
+  } else {
+    sync_neighbor_cache();
+  }
 }
 
 void World::sync_neighbor_cache() const {
@@ -349,7 +354,7 @@ const std::vector<int>& World::neighbor_counts() const {
   if (neighbor_cache_usable()) {
     sync_neighbor_cache();
   } else {
-    rebuild_neighbor_cache();
+    rebuild_neighbor_cache(nullptr, 1);
   }
   return ncache_.counts;
 }

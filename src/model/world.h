@@ -89,10 +89,13 @@ class World {
   /// N_i for every task: number of users within neighbor_radius of the task
   /// location (one entry per task *position*). Backed by a persistent
   /// spatial grid: the first call (and any call after the task set or the
-  /// population changed) builds the grid and counts every task; subsequent
-  /// calls diff the user positions against the last-synced snapshot and
-  /// delta-update only the counts of tasks near a moved user — O(moved)
-  /// instead of O(U + T·r-cells) per call, and allocation-free once warm.
+  /// population changed) builds the grid and counts every task serially;
+  /// subsequent calls diff the user positions against the last-synced
+  /// snapshot and delta-update only the counts of tasks near a moved user —
+  /// O(moved) instead of O(U + T·r-cells) per call, and allocation-free
+  /// once warm. This lazy path never recounts a usable cache, so the
+  /// intra-round one-mover syncs stay O(moved); a bulk round-start update
+  /// goes through refresh_neighbor_cache() instead.
   /// The cache is synced lazily on read, so callers may move users through
   /// User::set_location freely between calls. Counts are exact integers:
   /// the delta path uses the same distance predicate as a full recount, so
@@ -111,16 +114,23 @@ class World {
   /// *max_element(neighbor_counts()) (0 when there are no tasks).
   int neighbor_max_count() const;
 
-  /// Rebuild the neighbor cache with the per-task counting fanned out over
-  /// `pool` when a rebuild is due (first use, or the task/user set
-  /// changed). A no-op when the cache is merely stale — the delta sync is
-  /// O(moved) and stays serial. Counts are integer-exact and identical to
-  /// the serial rebuild: workers only run read-only count_radius queries
-  /// over the freshly built user grid into disjoint count slots, and the
-  /// histogram/journal bookkeeping is rebuilt serially afterwards. The
-  /// caller must be the cache's single consumer (same contract as
+  /// Bring the neighbor cache up to date with the current user positions,
+  /// choosing the cheaper of two exact paths. `pool` = nullptr or
+  /// `workers` <= 1 runs serially (parallel_ranges semantics).
+  ///  - Not usable (first use, or the task/user set changed): full rebuild
+  ///    of both grids, the per-task count pass fanned over the workers.
+  ///  - Usable: one O(U) pass counts the moved users. When
+  ///    2 * moved * workers > U, a recount — a fresh user grid and the
+  ///    pooled count pass; the task grid is kept — beats replaying the
+  ///    moves (the cost model is derived in world.cpp); otherwise the
+  ///    serial delta sync runs, exactly as neighbor_counts() would.
+  /// Counts are integer-exact on every path, so the choice never changes a
+  /// result. A rebuild or recount sets NeighborDelta::rebuilt for the next
+  /// take. Allocation-free once warm at unchanged sizes. The simulator
+  /// calls this once per round, before the round-start publish; the caller
+  /// must be the cache's single consumer (same contract as
   /// neighbor_counts()).
-  void warm_neighbor_cache(ThreadPool& pool, int workers) const;
+  void refresh_neighbor_cache(ThreadPool* pool, int workers) const;
 
   /// Everything that happened to the neighbor counts since the journal was
   /// last taken. `rebuilt` true means the cache was rebuilt from scratch
@@ -163,13 +173,18 @@ class World {
   /// user-population size (locations may have drifted — that is what the
   /// delta sync handles; adding/removing tasks or users forces a rebuild).
   bool neighbor_cache_usable() const;
-  void rebuild_neighbor_cache() const;
+  /// Full rebuild: task grid, then recount_neighbor_cache().
+  void rebuild_neighbor_cache(ThreadPool* pool, int workers) const;
+  /// User grid + the one per-task count pass + rebuild_neighbor_derived().
+  void recount_neighbor_cache(ThreadPool* pool, int workers) const;
   void sync_neighbor_cache() const;
-
-  /// Shared serial prologue/epilogue of the serial and pooled rebuilds:
-  /// grids + position snapshots, then histogram/journal reconstruction.
-  void rebuild_neighbor_grids() const;
+  /// Histogram, running max and journal reset after a (re)count.
   void rebuild_neighbor_derived() const;
+  /// Cell size of both neighbor grids: the query radius, so a radius query
+  /// scans a 3x3 cell neighborhood.
+  Meters neighbor_cell() const {
+    return neighbor_radius_ > 0.0 ? neighbor_radius_ : area_.diameter();
+  }
 
   geo::BoundingBox area_;
   geo::TravelModel travel_;
@@ -181,14 +196,14 @@ class World {
 
   // Lazily maintained neighbor-count cache (see neighbor_counts()).
   //
-  // Both spatial indices are immutable CSR snapshots (geo::FrozenGrid)
-  // taken at rebuild time. The task grid stays exact between rebuilds by
-  // contract (task locations are immutable; any task/user set change forces
-  // a rebuild through neighbor_cache_usable()), and the delta sync queries
-  // only it. The user grid is consulted only during the rebuild count pass
-  // and goes stale as users move afterwards — nothing reads it between
-  // rebuilds, which is exactly why the sync no longer pays per-moved-user
-  // remove/insert maintenance the old mutable grid demanded.
+  // Both spatial indices are CSR snapshots (geo::FrozenGrid), re-taken in
+  // place. The task grid is taken at a full rebuild and stays exact until
+  // the next one by contract (task locations are immutable; any task/user
+  // set change forces a rebuild through neighbor_cache_usable()), and the
+  // delta sync queries only it. The user grid is re-taken by every rebuild
+  // or recount, consulted only by that count pass, and goes stale as users
+  // move afterwards — nothing reads it in between, which is why the sync
+  // pays no per-moved-user grid maintenance.
   struct NeighborCache {
     bool valid = false;
     geo::FrozenGrid user_grid;         // ids are user positions

@@ -46,6 +46,14 @@ double mono_seconds() {
       .count();
 }
 
+// Charges the time since `t0` to `phase` and restarts `t0` at the same
+// instant, so back-to-back phases leave no untimed gap between their timers.
+void lap(double& phase, double& t0) {
+  const double now = mono_seconds();
+  phase += now - t0;
+  t0 = now;
+}
+
 std::vector<bool> open_tasks(const model::World& world,
                              const std::vector<Money>& price, Round k) {
   std::vector<bool> open(world.num_tasks(), false);
@@ -97,13 +105,13 @@ Meters Simulator::grid_cell_size() const {
 void Simulator::index_round_tasks(const std::vector<bool>& open) {
   const model::TaskStore& ts = world_.task_store();
   round_rows_.clear();
-  std::vector<geo::Point> points;
+  round_points_.clear();
   for (std::size_t i = 0; i < ts.size(); ++i) {
     if (!open[i]) continue;
     round_rows_.push_back(static_cast<std::uint32_t>(i));
-    points.push_back(ts.location[i]);
+    round_points_.push_back(ts.location[i]);
   }
-  round_grid_ = geo::FrozenGrid(world_.area(), grid_cell_size(), points);
+  round_grid_.rebuild(world_.area(), grid_cell_size(), round_points_);
 }
 
 void Simulator::gather(std::uint32_t pos, geo::Point start,
@@ -312,14 +320,13 @@ void Simulator::run_sessions_intra_round(
   // one round only those tasks gained measurements, so the mechanism can
   // reprice incrementally instead of rescanning the whole task set.
   const bool timed = params_.phase_timers;
-  double t0 = 0.0;
+  double t0 = timed ? mono_seconds() : 0.0;
   std::vector<std::size_t> dirty;
   select::SelectionInstance inst;
   std::vector<std::int32_t> hits;
   commit_scratch_.segments.resize(1);
   CommitSegment& seg = commit_scratch_.segments[0];
   for (const std::uint32_t pos : visit_order) {
-    if (timed) t0 = mono_seconds();
     model::User& u = world_.users()[pos];
     // Mobility advances for every user, dropped or not (the worker is
     // somewhere that round; they just do not work) — fault draws therefore
@@ -328,7 +335,7 @@ void Simulator::run_sessions_intra_round(
         mobility_->start_of_round(u, k, world_.area(), mobility_rng_));
 
     const bool drop = faults_.enabled() && faults_.drop_user(u.id(), k);
-    if (timed) phase_.prepass += mono_seconds() - t0;
+    if (timed) lap(phase_.prepass, t0);
     if (drop) {
       // Offline this round: no session (so intra-round mechanisms see no
       // repricing event either), no travel, zero profit. The dirty set
@@ -337,7 +344,6 @@ void Simulator::run_sessions_intra_round(
       continue;
     }
 
-    if (timed) t0 = mono_seconds();
     mechanism_->reprice(world_, k, dirty);
     const std::vector<Money>& price = prices();
     // What this session was actually offered: the round's open tasks at
@@ -353,19 +359,13 @@ void Simulator::run_sessions_intra_round(
       session_mean_sum += session_sum / session_open;
       ++priced_sessions;
     }
-    if (timed) {
-      phase_.reprice += mono_seconds() - t0;
-      t0 = mono_seconds();
-    }
+    if (timed) lap(phase_.reprice, t0);
 
     gather(pos, u.location(), price, hits, inst);
     const select::Selection sel = selector_->select(inst);
     MCS_ASSERT(select::is_feasible(inst, sel),
                "selector returned an infeasible tour");
-    if (timed) {
-      phase_.plan += mono_seconds() - t0;
-      t0 = mono_seconds();
-    }
+    if (timed) lap(phase_.plan, t0);
     // The session commits as a one-user segment at the prices it was just
     // offered; the rows it delivered to become the next reprice's dirty set.
     seg.clear();
@@ -373,7 +373,7 @@ void Simulator::run_sessions_intra_round(
     merge_and_apply(k, rm);
     dirty.assign(commit_scratch_.dirty_row_list.begin(),
                  commit_scratch_.dirty_row_list.end());
-    if (timed) phase_.commit += mono_seconds() - t0;
+    if (timed) lap(phase_.commit, t0);
   }
 }
 
@@ -451,10 +451,7 @@ void Simulator::run_sessions_planned(
         mobility_->start_of_round(u, k, world_.area(), mobility_rng_));
     if (faults_.enabled() && faults_.drop_user(u.id(), k)) dropped[pos] = 1;
   }
-  if (timed) {
-    phase_.prepass += mono_seconds() - t0;
-    t0 = mono_seconds();
-  }
+  if (timed) lap(phase_.prepass, t0);
 
   std::vector<select::Selection> plans(n_users);
   std::vector<char> feasible(n_users, 1);
@@ -526,10 +523,7 @@ void Simulator::run_sessions_planned(
     }
     solve_positions(fallback, price, plans, feasible);
   }
-  if (timed) {
-    phase_.plan += mono_seconds() - t0;
-    t0 = mono_seconds();
-  }
+  if (timed) lap(phase_.plan, t0);
 
   // Commit phase: payments, deliveries, events and the remaining fault
   // draws (abandonment, upload loss/corruption: pure hashes) replay exactly
@@ -687,10 +681,7 @@ bool Simulator::run_sessions_sharded(
     }
   }
 
-  if (timed) {
-    phase_.prepass += mono_seconds() - t0;
-    t0 = mono_seconds();
-  }
+  if (timed) lap(phase_.prepass, t0);
 
   // --- Plan phase: contiguous cell ranges per worker, every instance from
   // the round's one candidate gather.
@@ -810,10 +801,7 @@ bool Simulator::run_sessions_sharded(
     }
     plan_memo_.restore_stats(agg);
   }
-  if (timed) {
-    phase_.plan += mono_seconds() - t0;
-    t0 = mono_seconds();
-  }
+  if (timed) lap(phase_.plan, t0);
 
   // --- Commit: the buffered walk/merge/apply pipeline (sim/commit.h) at
   // the frozen round prices every plan of this round was computed against.
@@ -830,35 +818,35 @@ const RoundMetrics& Simulator::step() {
   const bool want_sharded = !intra_round && params_.shards != 0;
   const bool timed = params_.phase_timers;
 
-  // Sharded rounds front-load the neighbor-cache rebuild (the mechanism's
-  // first demand query would otherwise pay it serially): a no-op unless a
-  // rebuild is due, and integer-exact either way.
-  if (want_sharded) {
-    const int w = shard_worker_count();
-    if (w > 1 && ensure_plan_workers(w)) {
-      world_.warm_neighbor_cache(*plan_pool_, w);
-    }
-  }
-
-  // (1)+(2) Platform updates and publishes rewards for round k. With
-  // reprice workers configured, a due neighbor-cache rebuild fans its count
-  // pass over the dedicated reprice pool and the mechanism's sweep shards
-  // over the same workers — both are reprice work, so both sit inside the
-  // phase timer (unlike the sharded loop's untimed front-loaded warm above,
-  // which belongs to the plan workers and predates this knob).
+  // (1)+(2) Platform updates and publishes rewards for round k: the
+  // round-start neighbor-cache refresh (N_i for the X3 factor), the Eqs.
+  // 2-9 sweep, the open-task scan with its withdrawals and the published
+  // mean price — all of it the reprice phase. The refresh recounts in
+  // parallel or replays the moves serially, whichever its mover-count cost
+  // model says is cheaper (integer-exact either way), on the reprice pool
+  // when reprice workers are configured, else on the plan pool of a
+  // sharded round; the mechanism's sweep shards over the reprice pool only.
   double t0 = timed ? mono_seconds() : 0.0;
   const int reprice_workers = resolve_threads(params_.reprice_threads);
+  ThreadPool* refresh_pool = nullptr;
+  int refresh_workers = 1;
   if (reprice_workers > 1) {
     if (reprice_pool_ == nullptr || reprice_pool_->size() != reprice_workers) {
       reprice_pool_ = std::make_unique<ThreadPool>(reprice_workers);
     }
-    world_.warm_neighbor_cache(*reprice_pool_, reprice_workers);
+    refresh_pool = reprice_pool_.get();
+    refresh_workers = reprice_workers;
     mechanism_->set_reprice_workers(reprice_pool_.get(), reprice_workers);
   } else {
     mechanism_->set_reprice_workers(nullptr, 1);
+    const int w = want_sharded ? shard_worker_count() : 1;
+    if (w > 1 && ensure_plan_workers(w)) {
+      refresh_pool = plan_pool_.get();
+      refresh_workers = w;
+    }
   }
+  world_.refresh_neighbor_cache(refresh_pool, refresh_workers);
   mechanism_->update_rewards(world_, k);
-  if (timed) phase_.reprice += mono_seconds() - t0;
   const std::vector<Money>& price = prices();
 
   // Which tasks are open when the round begins. For round-granularity
@@ -891,6 +879,7 @@ const RoundMetrics& Simulator::step() {
 
   const long long before = world_.total_received();
   const Money paid_before = budget_.spent();
+  if (timed) lap(phase_.reprice, t0);
 
   // Users take their sessions in a shuffled order each round. The order
   // holds positions into world().users() (iota over 0..U-1 and the
@@ -904,8 +893,8 @@ const RoundMetrics& Simulator::step() {
 
   // (3)+(4) Every user selects and performs a task set. Every loop builds
   // its instances with gather() from one task index per round, built here
-  // after the withdrawals — planning work, so it sits in the plan timer.
-  if (timed) t0 = mono_seconds();
+  // after the withdrawals — planning work, so it sits in the plan timer
+  // with the visit-order shuffle above.
   index_round_tasks(open);
   if (timed) phase_.plan += mono_seconds() - t0;
   if (!want_sharded || !run_sessions_sharded(k, price, visit_order, rm)) {
@@ -925,13 +914,16 @@ const RoundMetrics& Simulator::step() {
   }
 
   // (5) Round bookkeeping; the next update_rewards() call recomputes
-  // demands from this new state.
+  // demands from this new state. The sweeps over every task close the
+  // round's commit, so they sit in the commit timer.
+  if (timed) t0 = mono_seconds();
   rm.new_measurements = static_cast<int>(world_.total_received() - before);
   rm.total_measurements = world_.total_received();
   rm.coverage_pct = coverage_pct(world_);
   rm.completeness_pct = completeness_pct(world_);
   rm.payout = budget_.spent() - paid_before;
   rm.mean_user_profit = mean_of(rm.user_profit);
+  if (timed) phase_.commit += mono_seconds() - t0;
 
   history_.push_back(std::move(rm));
   ++next_round_;

@@ -298,9 +298,10 @@ class Simulator {
   // round, stats cumulative over the campaign (the sharded loop's too).
   select::PlanMemo plan_memo_;
   // Round task index (index_round_tasks): the open task rows, ascending,
-  // and a frozen grid over their locations whose point ids index
-  // round_rows_.
+  // their locations, and a frozen grid over those whose point ids index
+  // round_rows_. All three are rebuilt in place every round.
   std::vector<std::uint32_t> round_rows_;
+  std::vector<geo::Point> round_points_;
   geo::FrozenGrid round_grid_;
   // Sharded-loop state: one PlanMemo per shard worker (tables are per
   // cell, stats harvested into plan_memo_ each round) plus persistent

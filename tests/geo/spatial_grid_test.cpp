@@ -249,6 +249,41 @@ TEST_P(FrozenGridProperty, MatchesBruteForce) {
   }
 }
 
+TEST(FrozenGrid, InPlaceRebuildEqualsFreshBuild) {
+  // One grid rebuilt in place through a point set that grows, shrinks,
+  // empties and refills must answer every query exactly like a grid built
+  // fresh over the same points: same size, same ids, same visit order.
+  Rng rng(31);
+  const BoundingBox area = BoundingBox::square(1000.0);
+  const double cell = 80.0;
+  const auto visits = [](const FrozenGrid& g, Point center, double radius) {
+    std::vector<std::int32_t> ids;
+    g.for_each_in_radius(center, radius,
+                         [&ids](std::int32_t id) { ids.push_back(id); });
+    return ids;
+  };
+  FrozenGrid reused;
+  for (const int n : {50, 400, 12, 0, 0, 150}) {
+    SCOPED_TRACE(n);
+    std::vector<Point> pts;
+    for (int i = 0; i < n; ++i) {
+      // Some points fall outside the bounds and clamp into border cells.
+      pts.push_back({rng.uniform(-50.0, 1050.0), rng.uniform(-50.0, 1050.0)});
+    }
+    reused.rebuild(area, cell, pts);
+    const FrozenGrid fresh(area, cell, pts);
+    ASSERT_EQ(reused.size(), fresh.size());
+    // A query covering the whole area visits every entry in CSR order.
+    EXPECT_EQ(visits(reused, {500.0, 500.0}, 2000.0),
+              visits(fresh, {500.0, 500.0}, 2000.0));
+    for (int q = 0; q < 40; ++q) {
+      const Point center{rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)};
+      const double radius = rng.uniform(0.0, 300.0);
+      EXPECT_EQ(visits(reused, center, radius), visits(fresh, center, radius));
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(CellSizes, FrozenGridProperty,
                          ::testing::Values(25.0, 100.0, 500.0, 2000.0));
 

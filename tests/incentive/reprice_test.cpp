@@ -180,6 +180,28 @@ TEST(OnDemandReprice, ConsecutiveFastPathsEachConsumeTheirOwnDelta) {
   expect_matches_full(m, w, 1);
 }
 
+TEST(OnDemandReprice, RoundStartRecountKeepsTheDirtyPath) {
+  // A round-start recount (every user moved, as after a round of tours)
+  // marks the journal rebuilt. The round-start publish consumes that, so
+  // the next session's reprice stays O(dirty) instead of repricing every
+  // task.
+  model::World w = make_world();
+  OnDemandMechanism m = make_on_demand();
+  m.update_rewards(w, 1);
+
+  w.users()[0].set_location({300.0, 330.0});  // all stay in their discs
+  w.users()[1].set_location({300.0, 270.0});
+  w.users()[2].set_location({900.0, 330.0});
+  ThreadPool pool(2);
+  w.refresh_neighbor_cache(&pool, 2);  // 2 * 3 movers * 2 > 3: recount
+  m.update_rewards(w, 2);
+
+  w.tasks()[1].add_measurement(UserId{2}, 2, 1.0);
+  m.reprice(w, 2, {1});
+  EXPECT_EQ(m.last_reprice_touched(), 1u);
+  expect_matches_full(m, w, 2);
+}
+
 TEST(OnDemandReprice, ShardedUpdateMatchesSerialBitForBit) {
   // The fused demand/level/reward sweep fans over the reprice pool in
   // disjoint row ranges; every published double must match the serial

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/thread_pool.h"
 #include "geo/distance.h"
 #include "model/world.h"
 
@@ -161,6 +162,109 @@ TEST(NeighborCache, ZeroRadiusAndCoincidentPoints) {
   EXPECT_EQ(w.neighbor_counts(), std::vector<int>{1});
   w.users()[1].set_location({50.0, 50.0});
   EXPECT_EQ(w.neighbor_counts(), std::vector<int>{2});
+}
+
+World random_world(std::uint64_t seed, int tasks, int users) {
+  const double side = 2000.0;
+  World w(geo::BoundingBox::square(side), geo::TravelModel{}, 300.0);
+  Rng rng(seed);
+  for (int i = 0; i < tasks; ++i) w.add_task(random_point(rng, side), 10, 5);
+  for (int i = 0; i < users; ++i) w.add_user(random_point(rng, side), 600.0);
+  return w;
+}
+
+// The round-start policy: refresh_neighbor_cache() recounts when
+// 2 * moved * workers > U and delta-syncs otherwise. Either way the counts,
+// the histogram-backed max and the journal's max must equal brute force and
+// a twin world that only ever delta-syncs; the journal reports rebuilt
+// exactly when a recount ran.
+TEST(NeighborCache, RefreshPolicyMatchesDeltaSyncTwinAndBruteForce) {
+  const int users = 97;  // odd, so U / (2w) is never a whole number
+  for (const int workers : {1, 2, 4}) {
+    ThreadPool pool(workers);
+    ThreadPool* pool_arg = workers > 1 ? &pool : nullptr;
+    const std::size_t under =
+        static_cast<std::size_t>(users / (2 * workers));
+    for (const std::size_t movers :
+         {std::size_t{0}, std::size_t{1}, under, under + 1,
+          static_cast<std::size_t>(users)}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "workers " << workers << ", movers " << movers);
+      World w = random_world(100 + movers * 7 + static_cast<std::size_t>(workers),
+                             40, users);
+      (void)w.take_neighbor_changes();  // build and clear the journal
+      World twin = w;
+      (void)twin.take_neighbor_changes();
+
+      Rng rng(movers + 1);
+      std::vector<std::size_t> order(static_cast<std::size_t>(users));
+      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+      rng.shuffle(order);
+      for (std::size_t m = 0; m < movers; ++m) {
+        const geo::Point p = random_point(rng, 2000.0);
+        w.users()[order[m]].set_location(p);
+        twin.users()[order[m]].set_location(p);
+      }
+
+      w.refresh_neighbor_cache(pool_arg, workers);
+      const std::vector<int> brute = brute_force_counts(w);
+      const int brute_max = *std::max_element(brute.begin(), brute.end());
+      EXPECT_EQ(w.neighbor_counts(), brute);
+      EXPECT_EQ(twin.neighbor_counts(), brute);
+      EXPECT_EQ(w.neighbor_max_count(), brute_max);
+      EXPECT_EQ(twin.neighbor_max_count(), brute_max);
+
+      const bool recount =
+          2 * movers * static_cast<std::size_t>(workers) >
+          static_cast<std::size_t>(users);
+      EXPECT_EQ(recount, movers == under + 1 ||
+                             movers == static_cast<std::size_t>(users));
+      const World::NeighborDelta d = w.take_neighbor_changes();
+      EXPECT_EQ(d.rebuilt, recount);
+      EXPECT_EQ(d.max_count, brute_max);
+      EXPECT_EQ(*d.counts, brute);
+      EXPECT_FALSE(twin.take_neighbor_changes().rebuilt);
+
+      // The histogram survives the recount: later one-mover syncs keep the
+      // running max exact.
+      for (int step = 0; step < 10; ++step) {
+        const auto who = static_cast<std::size_t>(
+            rng.uniform_int(0, users - 1));
+        w.users()[who].set_location(random_point(rng, 2000.0));
+        const std::vector<int> now = brute_force_counts(w);
+        EXPECT_EQ(w.neighbor_counts(), now);
+        EXPECT_EQ(w.neighbor_max_count(),
+                  *std::max_element(now.begin(), now.end()));
+      }
+    }
+  }
+}
+
+TEST(NeighborCache, RefreshRebuildsAnUnusableCacheAtAnyWorkerCount) {
+  for (const int workers : {1, 4}) {
+    SCOPED_TRACE(workers);
+    ThreadPool pool(workers);
+    World w = random_world(5, 30, 80);
+    w.refresh_neighbor_cache(&pool, workers);  // first use: full rebuild
+    EXPECT_EQ(w.neighbor_counts(), brute_force_counts(w));
+    EXPECT_TRUE(w.take_neighbor_changes().rebuilt);
+
+    w.add_user({1000.0, 1000.0}, 600.0);  // population change
+    w.refresh_neighbor_cache(&pool, workers);
+    EXPECT_EQ(w.neighbor_counts(), brute_force_counts(w));
+    EXPECT_TRUE(w.take_neighbor_changes().rebuilt);
+  }
+}
+
+TEST(NeighborCache, LazyReadsNeverRecount) {
+  // Every user moves, but the lazy path still replays the moves: only
+  // refresh_neighbor_cache() may recount a usable cache.
+  World w = random_world(9, 30, 60);
+  (void)w.take_neighbor_changes();
+  Rng rng(3);
+  for (User& u : w.users()) u.set_location(random_point(rng, 2000.0));
+  EXPECT_EQ(w.neighbor_counts(), brute_force_counts(w));
+  EXPECT_FALSE(w.take_neighbor_changes().rebuilt);
 }
 
 }  // namespace
