@@ -71,10 +71,10 @@ void BM_Campaign(benchmark::State& state, select::SelectorKind kind) {
 
 // Intra-campaign plan-thread scaling: ONE campaign per iteration (a single
 // repetition, the shape where repetition fan-out cannot help) at user
-// counts 100 / 1k / 10k, with the per-user planning phase running on
-// state.range(1) workers. plan_threads = 1 is the serial baseline; the
-// campaign is bit-identical across thread counts, so the ratio between the
-// two series is pure plan-phase speedup. Single repetition by design —
+// counts 100 / 1k / 10k, with the round loop (pre-pass, planning, commit
+// walk) running on state.range(1) plan_threads workers. plan_threads = 1 is
+// the serial baseline; the campaign is bit-identical across thread counts,
+// so the ratio between the two series is pure round-loop speedup. Single repetition by design —
 // this is the results/BENCH_campaign.json scaling artifact.
 void BM_CampaignPlanThreads(benchmark::State& state) {
   exp::ExperimentConfig cfg = make_config(select::SelectorKind::kDp,
@@ -143,12 +143,11 @@ double max_rss_mb() {
   return 0.0;
 }
 
-// Large-world campaigns through the spatially sharded round loop: ONE
-// campaign per iteration at range(0) users (tasks and area scale with the
-// population, keeping ~50 tasks in reach per user), shards = range(1)
-// (0 = the legacy round loop). The campaign is bit-identical across shard
-// counts (pinned by ShardEquivalence), so the series is pure round-loop
-// scaling. Greedy selector: at this scale the per-user solve should be
+// Large-world campaigns through the round loop: ONE campaign per iteration
+// at range(0) users (tasks and area scale with the population, keeping ~50
+// tasks in reach per user), shards = range(1) workers (0 = take
+// plan_threads, here 1). The campaign is bit-identical across shard counts
+// (pinned by ShardEquivalence), so the series is pure round-loop scaling. Greedy selector: at this scale the per-user solve should be
 // cheap so the round *loop* — pre-pass, demand, candidate gather, commit —
 // is what's measured. Phase timers are on; the per-phase wall-clock totals
 // and the process peak RSS ride along as counters. This is the
@@ -187,7 +186,7 @@ void BM_CampaignSharded(benchmark::State& state) {
   state.counters["max_rss_mb"] = max_rss_mb();
 }
 
-// Reprice-phase A/B on the sharded large-world workload: range(0) users,
+// Reprice-phase A/B on the large-world workload: range(0) users,
 // shards fixed at 1 so nothing else contends for the pool, range(1) picks
 // the reprice path (0 = serial sweep, the default; 1 = reprice_threads=0,
 // i.e. one worker per hardware thread). The campaign is bit-identical
@@ -279,9 +278,9 @@ BENCHMARK(BM_CampaignSharded)
     ->ArgsProduct({{100000}, {0, 1, 2, 8}})
     ->Iterations(1)
     ->Unit(benchmark::kMillisecond);
-// 1M users / 100k tasks is sharded-only: these configs size the sharded
-// pre-pass, per-cell planning and buffered commit at the scale they were
-// built for; the legacy loop (shards = 0) is covered at 100k above.
+// 1M users / 100k tasks: these configs size the bucketed pre-pass,
+// per-cell planning and buffered commit at the scale they were built for;
+// shards = 0 (one worker through plan_threads) is covered at 100k above.
 BENCHMARK(BM_CampaignSharded)
     ->ArgsProduct({{1000000}, {1, 8}})
     ->Iterations(1)

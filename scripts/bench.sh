@@ -263,8 +263,6 @@ PY
 
   "./${BUILD}/bench/bench_incentive_micro" "${MICRO_ARGS[@]+"${MICRO_ARGS[@]}"}" \
     | tee results/bench_incentive_micro.txt
-  "./${BUILD}/bench/bench_spatial_index" "${MICRO_ARGS[@]+"${MICRO_ARGS[@]}"}" \
-    | tee results/bench_spatial_index.txt
 
   # Throughput regression gate: fresh numbers vs the committed HEAD
   # captures of the same files. Skipped per file when it has no committed

@@ -59,21 +59,25 @@ if [[ "${SKIP_TSAN}" == "1" ]]; then
 else
   cmake -B build-tsan -S . -DMCS_TSAN=ON
   cmake --build build-tsan -j "${JOBS}" --target test_common test_model test_integration test_sim
-  # PlanEquivalence drives the parallel plan / serial commit path at thread
-  # counts 2 and 8 — plan workers gathering candidates concurrently from the
-  # round's shared, frozen task index — so it must stay in the TSan net
-  # alongside the thread-pool/runner suites.
-  # PlanMemoEquivalence is the memo-equivalence stage: the memo's classify/
-  # solve/publish phases share the table across the same plan workers, and
-  # memoized campaigns must stay bit-identical (and race-free) under TSan.
-  # ShardEquivalence drives the spatially sharded round loop (parallel
-  # pre-pass + per-cell gather and planning over the SoA stores) at shard
-  # counts 1-8 and auto — the widest concurrent surface in the simulator.
+  # Every round-loop suite below compares against the serial
+  # one-user-at-a-time reference (tests/sim/serial_reference.h: the
+  # intra-round session loop at frozen prices).
+  # PlanEquivalence drives the round loop through plan_threads 2 and 8 —
+  # plan workers gathering candidates concurrently from the round's shared,
+  # frozen task index — so it must stay in the TSan net alongside the
+  # thread-pool/runner suites.
+  # PlanMemoEquivalence is the memo-equivalence stage: each worker runs the
+  # memo tables of its cells, and memoized campaigns must stay
+  # bit-identical (and race-free) under TSan.
+  # ShardEquivalence drives the same loop (parallel pre-pass, cell keys,
+  # per-cell gather and planning over the SoA stores) at shard counts 1-8
+  # and auto — the widest concurrent surface in the simulator — including
+  # UnevenCellPartitionKeepsPlansAndMemoStats, a few thousand users over
+  # uneven cells at workers 1, 2, 3 and 8.
   # CommitEquivalence drives the buffered parallel commit (segment walk +
-  # ordered merge + row-grouped delivery apply) against the serial
-  # one-user-at-a-time reference (the intra-round session loop at frozen
-  # prices) at shard counts 0-8 and auto and plan threads 1 and 4 — every
-  # thread-local effect buffer and its merge runs under TSan here.
+  # ordered merge + row-grouped delivery apply) at shard counts 0-8 and
+  # auto and plan threads 1 and 4 — every thread-local effect buffer and
+  # its merge runs under TSan here.
   # NeighborCache drives the round-start recount's pooled count pass (up to
   # 4 workers writing disjoint count slots against one shared user grid).
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan --output-on-failure \
@@ -111,8 +115,8 @@ else
   # BudgetTracker pins the compensated-sum overdraft bound under -O3.
   # CheckpointResume joins the -O3 net: bit-identical resume is a
   # floating-point identity claim just like the selector equivalences.
-  # ShardEquivalence: sharded == legacy is likewise a floating-point
-  # identity claim. FrozenGrid: every loop gathers candidates with an
+  # ShardEquivalence: the round loop == the serial reference is likewise a
+  # floating-point identity claim. FrozenGrid: every loop gathers candidates with an
   # inflated-radius query on the round's FrozenGrid and then the exact
   # reach predicate; the gather is exact only if that query never
   # under-collects, which must hold under -O3 too. CommitEquivalence: the
@@ -123,7 +127,7 @@ else
     -R 'DpEquivalence|PruneCandidatesInto|SolverEquivalence|DpSelector|PlanEquivalence|PlanMemo|RepriceEquivalence|OnDemandReprice|SteeredReprice|NeighborCache|BudgetTracker|CheckpointResume|CheckpointEnvelope|ShardEquivalence|CommitEquivalence|FrozenGrid'
   ./build-release/bench/bench_selector_scaling --benchmark_min_time=0.01 \
     --benchmark_filter='BM_DpSelector/14|BM_GreedySelector/14' >/dev/null
-  # The 100k-user sharded run (shards=1: buffered commit on one worker) and
+  # The 100k-user round-loop run (shards=1: buffered commit on one worker) and
   # BM_CampaignReprice join the smoke set: a large-world bench that no
   # longer builds or runs must fail tier-1, not bench day. Only the 100k
   # runs (trailing slash keeps the 1M configs out — they are minutes of

@@ -52,7 +52,7 @@ bool plan_memo_default_from_env() {
 }
 
 // Default for --shards: the MCS_SHARDS environment variable ("auto" = one
-// worker per hardware thread), otherwise 0 (the legacy round loop).
+// worker per hardware thread), otherwise 0 (take --plan-threads).
 std::string shards_default_from_env() {
   const char* env = std::getenv("MCS_SHARDS");
   return env == nullptr ? std::string("0") : std::string(env);
@@ -62,7 +62,7 @@ int parse_shards(const std::string& s) {
   if (s == "auto") return sim::SimulatorParams::kAutoShards;
   const long parsed = std::strtol(s.c_str(), nullptr, 10);
   MCS_CHECK(parsed >= -1,
-            "--shards must be 'auto', -1 (auto), 0 (legacy) or a worker "
+            "--shards must be 'auto', -1 (auto), 0 (plan threads) or a worker "
             "count");
   return static_cast<int>(parsed);
 }

@@ -78,12 +78,11 @@ sim::Simulator resume_simulator(const ExperimentConfig& cfg,
 /// decode fine and pass the simulator's name checks — resuming one would
 /// graft another campaign's trajectory into this aggregate. Everything that
 /// determines the campaign's trajectory goes into the fingerprint;
-/// bit-identity-neutral knobs (threads, plan_threads, memo, the shard
-/// *count*) stay out so a legitimate crash recovery at a different thread
-/// count still resumes; sharded on/off is stamped (stochastic mobility
-/// draws differ between the two loops). A
-/// custom MechanismFactory is opaque and fingerprints as "factory": callers
-/// sweeping *across* factories must use distinct checkpoint dirs.
+/// bit-identity-neutral knobs (threads, plan_threads, reprice_threads,
+/// shards, memo) stay out so a legitimate crash recovery at a different
+/// worker count still resumes. A custom MechanismFactory is opaque and
+/// fingerprints as "factory": callers sweeping *across* factories must use
+/// distinct checkpoint dirs.
 Json repetition_provenance(const ExperimentConfig& cfg, std::uint64_t seed,
                            const MechanismFactory* factory) {
   char hex[17];
@@ -110,11 +109,6 @@ Json repetition_provenance(const ExperimentConfig& cfg, std::uint64_t seed,
   o["mobility"] = Json(static_cast<int>(cfg.mobility));
   o["drift_sigma"] = Json(cfg.drift_sigma);
   o["max_rounds"] = Json(cfg.max_rounds);
-  // Sharded on/off is part of the trajectory under stochastic mobility
-  // (per-user substreams vs the serial draw stream); the shard *count* is
-  // bit-identity-neutral and stays out, like plan_threads and
-  // reprice_threads.
-  o["sharded"] = Json(cfg.shards != 0);
   Json::Object f;
   f["dropout_prob"] = Json(cfg.faults.dropout_prob);
   f["abandon_prob"] = Json(cfg.faults.abandon_prob);

@@ -37,14 +37,14 @@ struct ExperimentConfig {
   // merged in repetition order, so every aggregate is bit-identical whatever
   // this is set to. Benches expose it as --threads / MCS_THREADS.
   int threads = 0;
-  // Worker threads for each simulator's per-user planning phase
-  // (SimulatorParams::plan_threads): 1 = serial (default), 0 = one per
-  // hardware thread, n = exactly n. Only round-granularity mechanisms
-  // parallelize; campaigns stay bit-identical at any value. Benches expose
-  // it as --plan-threads / MCS_PLAN_THREADS. Composes with `threads`:
-  // total concurrency is roughly threads * plan_threads, so prefer
-  // repetition fan-out when there are many repetitions and plan threads
-  // when a single large campaign dominates.
+  // Worker threads for each simulator's round-granularity loop when
+  // `shards` is 0 (SimulatorParams::plan_threads): 1 = serial (default),
+  // 0 = one per hardware thread, n = exactly n. Only round-granularity
+  // mechanisms parallelize; campaigns stay bit-identical at any value.
+  // Benches expose it as --plan-threads / MCS_PLAN_THREADS. Composes with
+  // `threads`: total concurrency is roughly threads * plan_threads, so
+  // prefer repetition fan-out when there are many repetitions and plan
+  // threads when a single large campaign dominates.
   int plan_threads = 1;
   // Worker threads for each simulator's reprice phase
   // (SimulatorParams::reprice_threads): 1 = serial (default), 0 = one per
@@ -53,13 +53,10 @@ struct ExperimentConfig {
   // bit-identical at any value. Benches expose it as --reprice-threads /
   // MCS_REPRICE_THREADS. Composes with `threads` like plan_threads does.
   int reprice_threads = 1;
-  // Spatially sharded round execution (SimulatorParams::shards): 0 = the
-  // legacy round loop (default), n >= 1 = sharded with n workers, -1 =
-  // auto (one per hardware thread). Campaigns are bit-identical at any
-  // shard count; versus the legacy loop the trajectory only moves under
-  // stochastic mobility (per-user substreams replace the serial draw
-  // stream — see SimulatorParams::shards). Benches expose it as --shards /
-  // MCS_SHARDS ("auto" accepted).
+  // Worker count of the round-granularity loop (SimulatorParams::shards):
+  // 0 = take plan_threads (default), n >= 1 = n workers, -1 = auto (one
+  // per hardware thread). Campaigns are bit-identical at any value.
+  // Benches expose it as --shards / MCS_SHARDS ("auto" accepted).
   int shards = 0;
   // Record per-phase round timings into each campaign's metrics
   // (SimulatorParams::phase_timers). Benches expose it as --phase-timers.

@@ -71,8 +71,8 @@ class World {
   UserList& users() { return users_; }
 
   /// The raw structure-of-arrays columns. Read-only: the hot phases that
-  /// sweep a single field (neighbor sync, shard bucketing, the sharded
-  /// pre-pass) read these directly instead of striding over views.
+  /// sweep a single field (neighbor sync, the round loop's pre-pass and
+  /// cell bucketing) read these directly instead of striding over views.
   const UserStore& user_store() const { return *ustore_; }
   const TaskStore& task_store() const { return *tstore_; }
 

@@ -44,15 +44,12 @@
 // (counted in stats().fallbacks).
 //
 // Concurrency/determinism: a table is scoped by begin_table() — once per
-// round in the planned loop, once per shard cell in the sharded loop — and
-// driven by the simulator in three phases. (1) classification in user-
-// position order assigns every user a Ticket (owner / exact hit / pending
-// dominance probe); (2) owners solve — the planned loop fans them out over
-// the plan workers without touching the memo; (3) publication in the same
-// position order copies owner plans into the table, to exact hits, and
-// resolves pendings (failed probes become a second solve wave). The sharded
-// loop interleaves the three per user, because a cell's owner always
-// precedes its hits in position order. Insertion order, hit/miss accounting
+// grid cell of the simulator's round loop — and one worker drives it user
+// by user in position order: classify assigns a Ticket (owner / exact hit
+// / pending dominance probe); an owner solves and publishes its plan, an
+// exact hit copies it, a pending resolves (a failed probe solves in full).
+// A cell's owner always precedes its hits in position order, so every
+// probe finds its owner published. Insertion order, hit/miss accounting
 // and every returned plan are therefore identical at any worker count.
 #pragma once
 
@@ -127,13 +124,14 @@ class PlanMemo {
   /// round used.
   void count_round() { ++stats_.rounds; }
 
-  /// Phase 1, serial, in user-position order. `exact_candidate_limit` is
-  /// the solving selector's TaskSelector::exact_candidate_limit(). Updates
-  /// stats for exact hits and owners; pendings are counted at resolve().
+  /// Classify the next user of the table, in user-position order.
+  /// `exact_candidate_limit` is the solving selector's
+  /// TaskSelector::exact_candidate_limit(). Updates stats for exact hits
+  /// and owners; pendings are counted at resolve().
   Ticket classify(const SelectionInstance& inst, int exact_candidate_limit);
 
-  /// Phase 3, serial, same order: publish an owner's freshly solved plan
-  /// (and its is_feasible result) into its entry. No-op for kNoEntry.
+  /// Publish an owner's freshly solved plan (and its is_feasible result)
+  /// into its entry. No-op for kNoEntry.
   void publish(const Ticket& t, const Selection& plan, bool feasible);
 
   /// The plan cached for an exact-hit ticket (valid after the owner

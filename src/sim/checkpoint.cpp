@@ -98,7 +98,7 @@ SimulatorParams params_from_json(const Json& j) {
   if (j.has("shards")) {
     p.shards = static_cast<int>(j.at("shards").as_int());
     MCS_CHECK(p.shards >= SimulatorParams::kAutoShards,
-              "shards must be -1 (auto), 0 (legacy) or a worker count");
+              "shards must be -1 (auto), 0 (plan threads) or a worker count");
   }
   if (j.has("phase_timers")) p.phase_timers = j.at("phase_timers").as_bool();
   // Payloads written before the per-user commit was retired may carry a

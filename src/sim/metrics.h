@@ -83,9 +83,10 @@ struct CampaignMetrics {
   long long plan_fallbacks = 0;
   // Cumulative wall-clock seconds per round phase, populated only when
   // SimulatorParams::phase_timers is set (all zero otherwise). Pre-pass
-  // covers mobility/dropout (plus shard bucketing and the round task grid
-  // in sharded mode), plan the selection solves, reprice the mechanism's
-  // reward updates, commit the walk/merge/apply delivery pipeline. Untimed
+  // covers mobility/dropout (plus the cell bucketing of the
+  // round-granularity loop), plan the round task index and the selection
+  // solves, reprice the mechanism's reward updates, commit the
+  // walk/merge/apply delivery pipeline. Untimed
   // glue (open-set scans, pool build, metrics) is excluded. The counters
   // are carried through checkpoints, so a resumed campaign's summary
   // reports whole-campaign times (wall clock, not comparable across

@@ -396,173 +396,41 @@ bool Simulator::ensure_plan_workers(int threads) {
   return true;
 }
 
-void Simulator::solve_positions(const std::vector<std::uint32_t>& positions,
-                                const std::vector<Money>& price,
-                                std::vector<select::Selection>& plans,
-                                std::vector<char>& feasible) {
-  // Prices and the round task index are frozen for the whole round, and a
-  // user's instance depends only on that frozen state plus the user's own
-  // location and contributed set — nothing another user's session changes.
-  // Plans are therefore order-free: compute them concurrently into per-user
-  // slots. Feasibility is checked here (while the instance is still alive)
-  // and only asserted at commit.
-  const model::UserStore& us = world_.user_store();
-  const auto plan_users = [&](const select::TaskSelector& solver,
-                              std::size_t first, std::size_t stride) {
-    select::SelectionInstance inst;
-    std::vector<std::int32_t> hits;
-    for (std::size_t i = first; i < positions.size(); i += stride) {
-      const std::uint32_t pos = positions[i];
-      gather(pos, us.location[pos], price, hits, inst);
-      plans[pos] = solver.select(inst);
-      feasible[pos] = select::is_feasible(inst, plans[pos]) ? 1 : 0;
-    }
-  };
-
-  const int threads = resolve_threads(params_.plan_threads);
-  if (threads <= 1 || positions.size() <= 1 || !ensure_plan_workers(threads)) {
-    plan_users(*selector_, 0, 1);
-  } else {
-    // One selector clone per shard: DP/greedy scratch arenas are not
-    // reentrant (DESIGN.md §7), so concurrent plans never share a solver.
-    const std::size_t shards = plan_selectors_.size();
-    for (std::size_t s = 0; s < shards; ++s) {
-      plan_pool_->submit([&, s] { plan_users(*plan_selectors_[s], s, shards); });
-    }
-    plan_pool_->wait_idle();
-  }
+int Simulator::round_worker_count() const {
+  if (params_.shards == SimulatorParams::kAutoShards) return resolve_threads(0);
+  return params_.shards != 0 ? params_.shards
+                             : resolve_threads(params_.plan_threads);
 }
 
-void Simulator::run_sessions_planned(
+void Simulator::run_sessions_batched(
     Round k, const std::vector<Money>& price,
     const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm) {
-  const std::size_t n_users = world_.num_users();
-  const bool timed = params_.phase_timers;
-  double t0 = timed ? mono_seconds() : 0.0;
-
-  // Serial pre-pass in visit order: the mobility rng is one sequential
-  // stream, so its draws must happen user-by-user exactly as the serial
-  // interleaving would. Dropout draws are pure hashes (order-free) but are
-  // taken here so the plan phase knows whom to skip.
-  std::vector<char> dropped(n_users, 0);
-  for (const std::uint32_t pos : visit_order) {
-    model::User& u = world_.users()[pos];
-    u.set_location(
-        mobility_->start_of_round(u, k, world_.area(), mobility_rng_));
-    if (faults_.enabled() && faults_.drop_user(u.id(), k)) dropped[pos] = 1;
-  }
-  if (timed) lap(phase_.prepass, t0);
-
-  std::vector<select::Selection> plans(n_users);
-  std::vector<char> feasible(n_users, 1);
-
-  if (!params_.memo.enabled) {
-    std::vector<std::uint32_t> to_plan;
-    to_plan.reserve(n_users);
-    for (std::size_t pos = 0; pos < n_users; ++pos) {
-      if (!dropped[pos]) to_plan.push_back(static_cast<std::uint32_t>(pos));
-    }
-    solve_positions(to_plan, price, plans, feasible);
-  } else {
-    // Memoized plan phase (select/plan_memo.h), three deterministic phases.
-    //
-    // Phase 1 — serial classification in position order: every surviving
-    // user's instance is keyed against the memo. Owners (first of their
-    // equivalence class) go to the solve wave; exact hits will copy the
-    // owner's plan; dominance candidates stay pending until the owner's
-    // result is known. Position order (not visit order) so that hit/miss
-    // accounting and entry layout are independent of the round shuffle's
-    // interaction with fault draws — and identical at any thread count.
-    plan_memo_.begin_table();
-    const int exact_limit = selector_->exact_candidate_limit();
-    const model::UserStore& us = world_.user_store();
-    std::vector<select::PlanMemo::Ticket> tickets(n_users);
-    std::vector<std::uint32_t> owners;
-    select::SelectionInstance inst;
-    std::vector<std::int32_t> hits;
-    for (std::size_t pos = 0; pos < n_users; ++pos) {
-      if (dropped[pos]) continue;
-      const auto p = static_cast<std::uint32_t>(pos);
-      gather(p, us.location[pos], price, hits, inst);
-      tickets[pos] = plan_memo_.classify(inst, exact_limit);
-      if (tickets[pos].outcome == select::PlanMemo::Outcome::kOwner) {
-        owners.push_back(p);
-      }
-    }
-
-    // Phase 2 — owners solve concurrently; the memo is untouched.
-    solve_positions(owners, price, plans, feasible);
-
-    // Phase 3 — serial, position order again: owners publish, exact hits
-    // copy (the owner's position is smaller, so its plan is published by
-    // the time a hit reads it), pendings resolve into a fix-up hit or the
-    // exact-fallback wave, which then solves concurrently like the owners.
-    std::vector<std::uint32_t> fallback;
-    for (std::size_t pos = 0; pos < n_users; ++pos) {
-      if (dropped[pos]) continue;
-      const select::PlanMemo::Ticket& t = tickets[pos];
-      switch (t.outcome) {
-        case select::PlanMemo::Outcome::kOwner:
-          plan_memo_.publish(t, plans[pos], feasible[pos] != 0);
-          break;
-        case select::PlanMemo::Outcome::kExactHit:
-          plans[pos] = plan_memo_.cached_plan(t);
-          feasible[pos] = plan_memo_.cached_feasible(t) ? 1 : 0;
-          break;
-        case select::PlanMemo::Outcome::kPending: {
-          const select::Selection* cached = nullptr;
-          if (plan_memo_.resolve(t, &cached)) {
-            plans[pos] = *cached;  // the proven empty tour
-            feasible[pos] = 1;
-          } else {
-            fallback.push_back(static_cast<std::uint32_t>(pos));
-          }
-          break;
-        }
-      }
-    }
-    solve_positions(fallback, price, plans, feasible);
-  }
-  if (timed) lap(phase_.plan, t0);
-
-  // Commit phase: payments, deliveries, events and the remaining fault
-  // draws (abandonment, upload loss/corruption: pure hashes) replay exactly
-  // as a one-user-at-a-time loop in visit order would, through the buffered
-  // walk/merge/apply pipeline (sim/commit.h), at the frozen round prices.
-  commit_sessions(k, visit_order, dropped, plans, feasible, price, rm);
-  if (timed) phase_.commit += mono_seconds() - t0;
-}
-
-int Simulator::shard_worker_count() const {
-  return params_.shards == SimulatorParams::kAutoShards
-             ? resolve_threads(0)
-             : params_.shards;
-}
-
-bool Simulator::run_sessions_sharded(
-    Round k, const std::vector<Money>& price,
-    const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm) {
-  const int workers = std::max(shard_worker_count(), 1);
+  // A selector without clone() cannot fan out (its scratch arenas are not
+  // reentrant): the same loop then runs at one worker on selector_.
+  int workers = std::max(round_worker_count(), 1);
+  if (workers > 1 && !ensure_plan_workers(workers)) workers = 1;
   const bool pooled_workers = workers > 1;
-  if (pooled_workers && !ensure_plan_workers(workers)) {
-    return false;  // selector predates clone(): take the legacy loop
-  }
 
   const std::size_t n_users = world_.num_users();
   const model::UserStore& us = world_.user_store();
   const bool timed = params_.phase_timers;
   double t0 = timed ? mono_seconds() : 0.0;
 
-  // --- Pre-pass: mobility and dropout over disjoint position ranges. Each
-  // user's draws come from a private counter-based substream seeded from
-  // (order_seed, round, position), so the result is a pure per-user
-  // function — independent of execution order and worker count. Static
-  // models (static-home, commute) draw nothing and land exactly where the
-  // legacy serial stream puts them; stochastic models follow a different
-  // but equally valid trajectory, still invariant across shard counts.
-  // Mobility models must be stateless under concurrent calls (all shipped
-  // ones are); dropout draws are stateless hashes already.
-  shard_dropped_.assign(n_users, 0);
+  // --- Pre-pass: mobility, dropout and the user's cell key over disjoint
+  // position ranges. Each user's draws come from a private counter-based
+  // substream seeded from (order_seed, round, position), so the result is
+  // a pure per-user function — independent of execution order and worker
+  // count. Static models (static-home, commute) draw nothing. Mobility
+  // models must be stateless under concurrent calls (all shipped ones
+  // are); dropout draws are stateless hashes already. The key is
+  // (cell << 32 | position), the cell being the grid cell of the user's
+  // round-start location.
+  const Meters cell = grid_cell_size();
+  const geo::BoundingBox& area = world_.area();
+  const int nx = std::max(1, static_cast<int>(std::ceil(area.width() / cell)));
+  const int ny = std::max(1, static_cast<int>(std::ceil(area.height() / cell)));
+  round_dropped_.assign(n_users, 0);
+  round_keys_.resize(n_users);
   const std::uint64_t round_base =
       hash_combine(mix64(params_.order_seed ^ 0x5ba9d0c4f1e2a687ULL),
                    static_cast<std::uint64_t>(k));
@@ -570,220 +438,154 @@ bool Simulator::run_sessions_sharded(
     for (std::size_t pos = lo; pos < hi; ++pos) {
       model::User& u = world_.users()[pos];
       Rng rng(hash_combine(round_base, static_cast<std::uint64_t>(pos)));
-      u.set_location(mobility_->start_of_round(u, k, world_.area(), rng));
+      u.set_location(mobility_->start_of_round(u, k, area, rng));
       if (faults_.enabled() && faults_.drop_user(u.id(), k)) {
-        shard_dropped_[pos] = 1;
+        round_dropped_[pos] = 1;
       }
+      const geo::Point p = us.location[pos];
+      const int cx =
+          std::clamp(static_cast<int>((p.x - area.lo.x) / cell), 0, nx - 1);
+      const int cy =
+          std::clamp(static_cast<int>((p.y - area.lo.y) / cell), 0, ny - 1);
+      const std::uint64_t c =
+          static_cast<std::uint64_t>(cy) * static_cast<std::uint64_t>(nx) +
+          static_cast<std::uint64_t>(cx);
+      round_keys_[pos] = (c << 32) | pos;
     }
   };
+  // Bucket users by cell: once the keys are sorted every cell is a run of
+  // keys, its users in ascending position order — a pure function of the
+  // world geometry and the users' locations, whatever the worker count.
+  // Pooled, each pre-pass range sorts its own keys and the sorted ranges
+  // merge pairwise on the pool. Only the memo tables and the worker
+  // partition read the buckets (plans are per-user pure), so one worker
+  // without the memo plans the unsorted keys, in position order.
+  const bool memo_on = params_.memo.enabled;
   if (pooled_workers && n_users > 1) {
     const std::size_t chunk =
         (n_users + static_cast<std::size_t>(workers) - 1) /
         static_cast<std::size_t>(workers);
-    for (int w = 0; w < workers; ++w) {
-      const std::size_t lo =
-          std::min(n_users, static_cast<std::size_t>(w) * chunk);
+    const auto keys = round_keys_.begin();
+    for (std::size_t lo = 0; lo < n_users; lo += chunk) {
       const std::size_t hi = std::min(n_users, lo + chunk);
-      if (lo < hi) plan_pool_->submit([&prepass_range, lo, hi] {
+      plan_pool_->submit([&prepass_range, keys, lo, hi] {
         prepass_range(lo, hi);
+        std::sort(keys + lo, keys + hi);
       });
     }
     plan_pool_->wait_idle();
+    round_merge_.resize(n_users);
+    for (std::size_t width = chunk; width < n_users; width *= 2) {
+      for (std::size_t lo = 0; lo < n_users; lo += 2 * width) {
+        const std::size_t mid = std::min(n_users, lo + width);
+        const std::size_t hi = std::min(n_users, lo + 2 * width);
+        plan_pool_->submit([this, lo, mid, hi] {
+          const auto in = round_keys_.begin();
+          std::merge(in + lo, in + mid, in + mid, in + hi,
+                     round_merge_.begin() + lo);
+        });
+      }
+      plan_pool_->wait_idle();
+      round_keys_.swap(round_merge_);
+    }
   } else {
     prepass_range(0, n_users);
+    if (memo_on) std::sort(round_keys_.begin(), round_keys_.end());
   }
-
-  // --- Shard index: bucket users by the grid cell of their round-start
-  // location (CSR layout; within a cell users keep ascending position, so
-  // per-cell processing order is shard-count-invariant).
-  const Meters cell = grid_cell_size();
-  const geo::BoundingBox& area = world_.area();
-  const int nx = std::max(1, static_cast<int>(std::ceil(area.width() / cell)));
-  const int ny = std::max(1, static_cast<int>(std::ceil(area.height() / cell)));
-  const std::size_t n_cells =
-      static_cast<std::size_t>(nx) * static_cast<std::size_t>(ny);
-  const auto cell_of = [&](geo::Point p) {
-    const int cx = std::clamp(static_cast<int>((p.x - area.lo.x) / cell), 0,
-                              nx - 1);
-    const int cy = std::clamp(static_cast<int>((p.y - area.lo.y) / cell), 0,
-                              ny - 1);
-    return static_cast<std::uint32_t>(cy) * static_cast<std::uint32_t>(nx) +
-           static_cast<std::uint32_t>(cx);
-  };
-  shard_cell_of_.resize(n_users);
-  shard_cell_start_.assign(n_cells + 1, 0);
-  shard_users_.resize(n_users);
-  if (pooled_workers && n_users >= 4096) {
-    // Two-pass parallel bucketing: per-worker per-cell histograms, one
-    // serial exclusive prefix over (cell-major, worker-minor), then a
-    // parallel scatter from per-worker cursors. Worker w owns the
-    // contiguous position range [w*chunk, (w+1)*chunk), and within a cell
-    // the workers' slots follow ascending worker index — so every cell's
-    // users land in ascending position order, exactly like the serial
-    // counting sort.
-    const std::size_t nw = static_cast<std::size_t>(workers);
-    shard_bucket_counts_.assign(nw * n_cells, 0);
-    const std::size_t chunk = (n_users + nw - 1) / nw;
-    for (std::size_t w = 0; w < nw; ++w) {
-      const std::size_t lo = std::min(n_users, w * chunk);
-      const std::size_t hi = std::min(n_users, lo + chunk);
-      if (lo < hi) {
-        plan_pool_->submit([this, &us, &cell_of, n_cells, w, lo, hi] {
-          std::uint32_t* counts = shard_bucket_counts_.data() + w * n_cells;
-          for (std::size_t pos = lo; pos < hi; ++pos) {
-            const std::uint32_t c = cell_of(us.location[pos]);
-            shard_cell_of_[pos] = c;
-            ++counts[c];
-          }
-        });
-      }
-    }
-    plan_pool_->wait_idle();
-    std::uint32_t run = 0;
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      shard_cell_start_[c] = run;
-      for (std::size_t w = 0; w < nw; ++w) {
-        std::uint32_t& slot = shard_bucket_counts_[w * n_cells + c];
-        const std::uint32_t cnt = slot;
-        slot = run;  // becomes worker w's scatter cursor for cell c
-        run += cnt;
-      }
-    }
-    shard_cell_start_[n_cells] = run;
-    for (std::size_t w = 0; w < nw; ++w) {
-      const std::size_t lo = std::min(n_users, w * chunk);
-      const std::size_t hi = std::min(n_users, lo + chunk);
-      if (lo < hi) {
-        plan_pool_->submit([this, n_cells, w, lo, hi] {
-          std::uint32_t* cursor = shard_bucket_counts_.data() + w * n_cells;
-          for (std::size_t pos = lo; pos < hi; ++pos) {
-            shard_users_[cursor[shard_cell_of_[pos]]++] =
-                static_cast<std::uint32_t>(pos);
-          }
-        });
-      }
-    }
-    plan_pool_->wait_idle();
-  } else {
-    for (std::size_t pos = 0; pos < n_users; ++pos) {
-      const std::uint32_t c = cell_of(us.location[pos]);
-      shard_cell_of_[pos] = c;
-      ++shard_cell_start_[c + 1];
-    }
-    for (std::size_t c = 0; c < n_cells; ++c) {
-      shard_cell_start_[c + 1] += shard_cell_start_[c];
-    }
-    std::vector<std::uint32_t> fill(shard_cell_start_.begin(),
-                                    shard_cell_start_.end() - 1);
-    for (std::size_t pos = 0; pos < n_users; ++pos) {
-      shard_users_[fill[shard_cell_of_[pos]]++] =
-          static_cast<std::uint32_t>(pos);
-    }
-  }
-
   if (timed) lap(phase_.prepass, t0);
 
-  // --- Plan phase: contiguous cell ranges per worker, every instance from
+  // --- Plan phase: contiguous key ranges per worker, every instance from
   // the round's one candidate gather.
-  shard_plans_.assign(n_users, select::Selection{});
-  shard_feasible_.assign(n_users, 1);
-  const bool memo_on = params_.memo.enabled;
-  if (memo_on &&
-      shard_memos_.size() != static_cast<std::size_t>(workers)) {
-    shard_memos_.clear();
+  round_plans_.assign(n_users, select::Selection{});
+  round_feasible_.assign(n_users, 1);
+  if (memo_on && round_memos_.size() != static_cast<std::size_t>(workers)) {
+    round_memos_.clear();
     for (int w = 0; w < workers; ++w) {
-      shard_memos_.push_back(
-          std::make_unique<select::PlanMemo>(params_.memo));
+      round_memos_.push_back(std::make_unique<select::PlanMemo>(params_.memo));
     }
   }
   const int exact_limit = selector_->exact_candidate_limit();
 
-  const auto plan_cells = [&](int w, std::uint32_t c_lo, std::uint32_t c_hi) {
+  const auto plan_range = [&](int w, std::size_t lo, std::size_t hi) {
     const select::TaskSelector& solver =
         pooled_workers ? *plan_selectors_[static_cast<std::size_t>(w)]
                        : *selector_;
     select::PlanMemo* memo =
-        memo_on ? shard_memos_[static_cast<std::size_t>(w)].get() : nullptr;
+        memo_on ? round_memos_[static_cast<std::size_t>(w)].get() : nullptr;
     std::vector<std::int32_t> hits;
     select::SelectionInstance inst;
-    for (std::uint32_t c = c_lo; c < c_hi; ++c) {
-      const std::uint32_t u_lo = shard_cell_start_[c];
-      const std::uint32_t u_hi = shard_cell_start_[c + 1];
-      if (u_lo == u_hi) continue;
+    const auto solve = [&](std::uint32_t pos) {
+      round_plans_[pos] = solver.select(inst);
+      round_feasible_[pos] =
+          select::is_feasible(inst, round_plans_[pos]) ? 1 : 0;
+    };
+    std::uint64_t table_cell = ~std::uint64_t{0};
+    for (std::size_t idx = lo; idx < hi; ++idx) {
+      const std::uint64_t key = round_keys_[idx];
+      const auto pos = static_cast<std::uint32_t>(key);
       // One memo table per cell: the table contents depend only on the
-      // cell's users (processed in position order), never on which worker
-      // owns the cell — hits, misses and plans are shard-count-invariant.
-      if (memo != nullptr) memo->begin_table();
-      for (std::uint32_t idx = u_lo; idx < u_hi; ++idx) {
-        const std::uint32_t pos = shard_users_[idx];
-        if (shard_dropped_[pos] != 0) continue;
-        gather(pos, us.location[pos], price, hits, inst);
-        if (memo == nullptr) {
-          shard_plans_[pos] = solver.select(inst);
-          shard_feasible_[pos] =
-              select::is_feasible(inst, shard_plans_[pos]) ? 1 : 0;
-          continue;
-        }
-        // Single-pass memo: the owner of every class precedes its hits in
-        // position order within the cell, so classify/solve/publish can
-        // interleave without the planned loop's phase barriers.
-        const select::PlanMemo::Ticket ticket =
-            memo->classify(inst, exact_limit);
-        switch (ticket.outcome) {
-          case select::PlanMemo::Outcome::kOwner: {
-            shard_plans_[pos] = solver.select(inst);
-            shard_feasible_[pos] =
-                select::is_feasible(inst, shard_plans_[pos]) ? 1 : 0;
-            memo->publish(ticket, shard_plans_[pos],
-                          shard_feasible_[pos] != 0);
-            break;
+      // cell's users (in position order), never on which worker owns the
+      // cell — hits, misses and plans are worker-count-invariant.
+      if (memo != nullptr && (key >> 32) != table_cell) {
+        table_cell = key >> 32;
+        memo->begin_table();
+      }
+      if (round_dropped_[pos] != 0) continue;
+      gather(pos, us.location[pos], price, hits, inst);
+      if (memo == nullptr) {
+        solve(pos);
+        continue;
+      }
+      // Single-pass memo: the owner of every class precedes its hits in
+      // position order within the cell, so classify/solve/publish
+      // interleave per user.
+      const select::PlanMemo::Ticket ticket = memo->classify(inst, exact_limit);
+      switch (ticket.outcome) {
+        case select::PlanMemo::Outcome::kOwner:
+          solve(pos);
+          memo->publish(ticket, round_plans_[pos], round_feasible_[pos] != 0);
+          break;
+        case select::PlanMemo::Outcome::kExactHit:
+          round_plans_[pos] = memo->cached_plan(ticket);
+          round_feasible_[pos] = memo->cached_feasible(ticket) ? 1 : 0;
+          break;
+        case select::PlanMemo::Outcome::kPending: {
+          const select::Selection* cached = nullptr;
+          if (memo->resolve(ticket, &cached)) {
+            round_plans_[pos] = *cached;  // the proven empty tour
+            round_feasible_[pos] = 1;
+          } else {
+            solve(pos);
           }
-          case select::PlanMemo::Outcome::kExactHit:
-            shard_plans_[pos] = memo->cached_plan(ticket);
-            shard_feasible_[pos] = memo->cached_feasible(ticket) ? 1 : 0;
-            break;
-          case select::PlanMemo::Outcome::kPending: {
-            const select::Selection* cached = nullptr;
-            if (memo->resolve(ticket, &cached)) {
-              shard_plans_[pos] = *cached;  // the proven empty tour
-              shard_feasible_[pos] = 1;
-            } else {
-              shard_plans_[pos] = solver.select(inst);
-              shard_feasible_[pos] =
-                  select::is_feasible(inst, shard_plans_[pos]) ? 1 : 0;
-            }
-            break;
-          }
+          break;
         }
       }
     }
   };
 
   if (pooled_workers) {
-    // Contiguous cell ranges balanced by user count (any partition yields
-    // the same campaign; balance only affects wall clock).
-    std::vector<std::uint32_t> bounds(static_cast<std::size_t>(workers) + 1,
-                                      0);
-    bounds[static_cast<std::size_t>(workers)] =
-        static_cast<std::uint32_t>(n_cells);
-    std::uint32_t c = 0;
-    for (int w = 1; w < workers; ++w) {
-      const std::size_t target =
-          static_cast<std::size_t>(w) * n_users /
-          static_cast<std::size_t>(workers);
-      while (c < n_cells && shard_cell_start_[c] < target) ++c;
-      bounds[static_cast<std::size_t>(w)] = c;
-    }
-    for (int w = 0; w < workers; ++w) {
-      const std::uint32_t lo = bounds[static_cast<std::size_t>(w)];
-      const std::uint32_t hi = bounds[static_cast<std::size_t>(w) + 1];
-      if (lo < hi) plan_pool_->submit([&plan_cells, w, lo, hi] {
-        plan_cells(w, lo, hi);
+    // Worker w starts at the first cell run at or after key index
+    // w·U/workers, so no cell is split between two workers (any such
+    // partition yields the same campaign; balance only affects wall clock).
+    const auto ws = static_cast<std::size_t>(workers);
+    std::size_t lo = 0;
+    for (std::size_t w = 0; w < ws; ++w) {
+      std::size_t hi = n_users;
+      if (w + 1 < ws) {
+        hi = std::max(lo, (w + 1) * n_users / ws);
+        while (hi > 0 && hi < n_users &&
+               (round_keys_[hi] >> 32) == (round_keys_[hi - 1] >> 32)) {
+          ++hi;
+        }
+      }
+      if (lo < hi) plan_pool_->submit([&plan_range, w, lo, hi] {
+        plan_range(static_cast<int>(w), lo, hi);
       });
+      lo = hi;
     }
     plan_pool_->wait_idle();
   } else {
-    plan_cells(0, 0, static_cast<std::uint32_t>(n_cells));
+    plan_range(0, 0, n_users);
   }
 
   if (memo_on) {
@@ -791,7 +593,7 @@ bool Simulator::run_sessions_sharded(
     // summed, so the result does not depend on which worker owned which
     // cell.
     select::PlanMemoStats agg = plan_memo_.stats();
-    for (const auto& m : shard_memos_) {
+    for (const auto& m : round_memos_) {
       const select::PlanMemoStats& s = m->stats();
       agg.exact_hits += s.exact_hits;
       agg.fixup_hits += s.fixup_hits;
@@ -805,17 +607,15 @@ bool Simulator::run_sessions_sharded(
 
   // --- Commit: the buffered walk/merge/apply pipeline (sim/commit.h) at
   // the frozen round prices every plan of this round was computed against.
-  commit_sessions(k, visit_order, shard_dropped_, shard_plans_,
-                  shard_feasible_, price, rm);
+  commit_sessions(k, visit_order, round_dropped_, round_plans_,
+                  round_feasible_, price, rm);
   if (timed) phase_.commit += mono_seconds() - t0;
-  return true;
 }
 
 const RoundMetrics& Simulator::step() {
   MCS_CHECK(next_round_ <= params_.max_rounds, "campaign already over");
   const Round k = next_round_;
   const bool intra_round = mechanism_->updates_within_round();
-  const bool want_sharded = !intra_round && params_.shards != 0;
   const bool timed = params_.phase_timers;
 
   // (1)+(2) Platform updates and publishes rewards for round k: the
@@ -825,7 +625,8 @@ const RoundMetrics& Simulator::step() {
   // parallel or replays the moves serially, whichever its mover-count cost
   // model says is cheaper (integer-exact either way), on the reprice pool
   // when reprice workers are configured, else on the plan pool of a
-  // sharded round; the mechanism's sweep shards over the reprice pool only.
+  // round-granularity round; the mechanism's sweep shards over the reprice
+  // pool only.
   double t0 = timed ? mono_seconds() : 0.0;
   const int reprice_workers = resolve_threads(params_.reprice_threads);
   ThreadPool* refresh_pool = nullptr;
@@ -839,7 +640,7 @@ const RoundMetrics& Simulator::step() {
     mechanism_->set_reprice_workers(reprice_pool_.get(), reprice_workers);
   } else {
     mechanism_->set_reprice_workers(nullptr, 1);
-    const int w = want_sharded ? shard_worker_count() : 1;
+    const int w = intra_round ? 1 : round_worker_count();
     if (w > 1 && ensure_plan_workers(w)) {
       refresh_pool = plan_pool_.get();
       refresh_workers = w;
@@ -897,13 +698,11 @@ const RoundMetrics& Simulator::step() {
   // with the visit-order shuffle above.
   index_round_tasks(open);
   if (timed) phase_.plan += mono_seconds() - t0;
-  if (!want_sharded || !run_sessions_sharded(k, price, visit_order, rm)) {
-    if (intra_round) {
-      run_sessions_intra_round(k, open, visit_order, rm, session_mean_sum,
-                               priced_sessions);
-    } else {
-      run_sessions_planned(k, price, visit_order, rm);
-    }
+  if (intra_round) {
+    run_sessions_intra_round(k, open, visit_order, rm, session_mean_sum,
+                             priced_sessions);
+  } else {
+    run_sessions_batched(k, price, visit_order, rm);
   }
   if (params_.memo.enabled && !intra_round) plan_memo_.count_round();
 

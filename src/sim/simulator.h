@@ -45,32 +45,29 @@ struct SimulatorParams {
   // from their own hash-based stream (mixed from faults.seed and
   // order_seed), so they never perturb mobility or ordering draws.
   FaultPlan faults;
-  // Worker threads for the per-user planning phase of round-granularity
-  // mechanisms (updates_within_round() == false). 1 = plan serially
+  // Worker threads of the round-granularity session loop
+  // (updates_within_round() == false) when `shards` is 0. 1 = one worker
   // (default); 0 = one worker per hardware thread; n = exactly n. Prices
-  // and the round task index are frozen at round start, so every
-  // user's selection instance and plan can be computed concurrently and
-  // committed serially in visit order — the campaign is bit-identical at
-  // any thread count (pinned by the plan-equivalence suite, including under
-  // TSan). Intra-round mechanisms reprice between sessions and always run
+  // and the round task index are frozen at round start, so every user's
+  // pre-pass, selection instance and plan can be computed concurrently and
+  // committed in visit order — the campaign is bit-identical at any worker
+  // count (pinned against the serial one-user-at-a-time reference by the
+  // plan-, shard- and commit-equivalence suites, including under TSan).
+  // Intra-round mechanisms reprice between sessions and always run
   // serially regardless of this knob. Requires the selector to support
-  // clone(); selectors without it fall back to serial planning.
+  // clone(); selectors without it run the same loop at one worker.
   int plan_threads = 1;
-  // Spatially sharded round execution for round-granularity mechanisms
-  // (updates_within_round() == false). 0 = the legacy round loop (default);
-  // n >= 1 = sharded with exactly n workers; kAutoShards = one worker per
-  // hardware thread. The sharded loop partitions users by the grid cell of
-  // their round-start location, runs mobility/dropout and the per-user
-  // planning per shard on the plan workers, and commits serially in visit
-  // order. Campaigns are bit-identical at any shard count (pinned by the
-  // shard-equivalence suite); every loop builds its instances with the
-  // same candidate gather, so versus the legacy loop they are bit-identical
-  // whenever mobility draws no randomness (static-home, commute).
-  // Stochastic mobility uses per-user hash-seeded
-  // substreams instead of the serial draw stream: a different but equally
-  // valid trajectory, still invariant across shard counts. Intra-round
-  // mechanisms ignore this knob, and selectors without clone() fall back
-  // to the legacy loop (exactly like plan_threads).
+  // Worker count of the round-granularity session loop, overriding
+  // plan_threads when nonzero: n >= 1 = exactly n workers; kAutoShards =
+  // one worker per hardware thread; 0 (default) = plan_threads workers.
+  // It selects no code path: there is one round loop, which partitions
+  // users by the grid cell of their round-start location, runs mobility/
+  // dropout and the per-user planning over whole cells on the workers, and
+  // commits in visit order. Campaigns are bit-identical at any value.
+  // Mobility draws come from per-user hash-seeded substreams (a pure
+  // function of seed, round and position), so stochastic mobility also
+  // walks the same trajectory at any worker count. Intra-round mechanisms
+  // ignore this knob.
   int shards = 0;
   static constexpr int kAutoShards = -1;
   // Worker threads for the reprice phase: the mechanism's demand/level/
@@ -91,10 +88,11 @@ struct SimulatorParams {
   // users of one round whose selection instances are provably equivalent
   // share one solve. Off by default; when memo.enabled the campaign stays
   // bit-identical to the memo-free run (pinned by the plan-memo equivalence
-  // suite) at any plan_threads value — classification and publication are
-  // serial phases, only the solves fan out. Intra-round mechanisms reprice
-  // between sessions, so the memo does not apply to them (ignored, exactly
-  // like plan_threads).
+  // suite) at any worker count — one table per grid cell, each cell
+  // classified, solved and published by one worker in position order, so
+  // plans and hit/miss counts are worker-count-invariant. Intra-round
+  // mechanisms reprice between sessions, so the memo does not apply to
+  // them (ignored, exactly like plan_threads).
   select::PlanMemoParams memo;
 };
 
@@ -157,8 +155,10 @@ class Simulator {
                           std::unique_ptr<MobilityModel> mobility = nullptr);
 
   /// The mobility draw stream's full state (the simulator's only sequential
-  /// RNG; fault draws are stateless hashes and the per-round visit shuffle
-  /// re-derives its generator from order_seed and the round number).
+  /// RNG, drawn by the intra-round loop; the round-granularity loop seeds
+  /// per-user substreams, fault draws are stateless hashes and the
+  /// per-round visit shuffle re-derives its generator from order_seed and
+  /// the round number).
   Rng::State mobility_rng_state() const { return mobility_rng_.state(); }
 
   /// Publish rewards for the upcoming round exactly as step() would and
@@ -183,7 +183,7 @@ class Simulator {
   const std::vector<Money>& prices();
 
   /// Side length of the round's grid cells — the task index and the
-  /// sharded loop's user buckets: area-derived (longest side / 64), so the
+  /// round loop's user buckets: area-derived (longest side / 64), so the
   /// partition — and with it every per-cell memo table — is a pure function
   /// of the world geometry, never of the worker count.
   Meters grid_cell_size() const;
@@ -213,28 +213,22 @@ class Simulator {
       const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm,
       double& session_mean_sum, int& priced_sessions);
 
-  /// Parallel-plan / serial-commit session loop for round-granularity
-  /// mechanisms: a serial pre-pass advances mobility and dropout in visit
-  /// order (preserving the mobility rng stream), every surviving user's
-  /// plan is computed concurrently against the frozen round state, then
-  /// deliveries, payments and the remaining fault draws commit serially in
-  /// visit order. Bit-identical to the serial loop at any thread count.
-  /// `price` is the round's frozen prices() table.
-  void run_sessions_planned(Round k, const std::vector<Money>& price,
+  /// Session loop for round-granularity mechanisms, at
+  /// round_worker_count() workers: a pre-pass advances mobility (per-user
+  /// substreams) and dropout and keys every user by the grid cell of its
+  /// round-start location; sorting the keys buckets the users by cell;
+  /// workers plan contiguous runs of whole cells against the frozen round
+  /// state (one memo table per cell); the buffered pipeline commits in
+  /// visit order. Bit-identical at any worker count. `price` is the round's
+  /// frozen prices() table.
+  void run_sessions_batched(Round k, const std::vector<Money>& price,
                             const std::vector<std::uint32_t>& visit_order,
                             RoundMetrics& rm);
 
-  /// Sharded session loop (SimulatorParams::shards): pre-pass and planning
-  /// fan out over spatial shards, commit stays serial in visit order.
-  /// Returns false when the selector cannot clone() — the caller then
-  /// takes the legacy planned path.
-  bool run_sessions_sharded(Round k, const std::vector<Money>& price,
-                            const std::vector<std::uint32_t>& visit_order,
-                            RoundMetrics& rm);
-
-  /// Shard worker count per SimulatorParams::shards (kAutoShards resolves
-  /// to the hardware concurrency).
-  int shard_worker_count() const;
+  /// Worker count of the round-granularity loop: SimulatorParams::shards
+  /// when nonzero (kAutoShards resolves to the hardware concurrency), else
+  /// plan_threads.
+  int round_worker_count() const;
 
   /// Commit phase A for one user (sim/commit.h): walk `pos`'s planned tour
   /// — abandonment/upload fault draws, the user's own rows (location,
@@ -263,16 +257,9 @@ class Simulator {
 
   /// Lazily build the plan pool plus one selector clone per worker
   /// (selectors' scratch arenas are not reentrant — DESIGN.md §7). Returns
-  /// false when the selector is not clonable; callers then plan serially.
+  /// false when the selector is not clonable; callers then run at one
+  /// worker on selector_.
   bool ensure_plan_workers(int threads);
-
-  /// Solve the listed users' plans into `plans`/`feasible` (indexed by user
-  /// position), serially or sharded across the plan workers — the batch
-  /// primitive shared by the plain plan phase and the memo's solve waves.
-  void solve_positions(const std::vector<std::uint32_t>& positions,
-                       const std::vector<Money>& price,
-                       std::vector<select::Selection>& plans,
-                       std::vector<char>& feasible);
 
   model::World world_;
   std::unique_ptr<incentive::IncentiveMechanism> mechanism_;
@@ -294,8 +281,8 @@ class Simulator {
   // so resizing one phase's worker count never thrashes the other's
   // selector clones.
   std::unique_ptr<ThreadPool> reprice_pool_;
-  // Cross-user plan memo (params_.memo); the planned loop's one table per
-  // round, stats cumulative over the campaign (the sharded loop's too).
+  // Cross-user plan memo (params_.memo): the campaign's cumulative stats
+  // and round count. The tables live in round_memos_.
   select::PlanMemo plan_memo_;
   // Round task index (index_round_tasks): the open task rows, ascending,
   // their locations, and a frozen grid over those whose point ids index
@@ -303,19 +290,15 @@ class Simulator {
   std::vector<std::uint32_t> round_rows_;
   std::vector<geo::Point> round_points_;
   geo::FrozenGrid round_grid_;
-  // Sharded-loop state: one PlanMemo per shard worker (tables are per
+  // Round-granularity loop state: one PlanMemo per worker (tables are per
   // cell, stats harvested into plan_memo_ each round) plus persistent
   // scratch so the steady state stays allocation-free.
-  std::vector<std::unique_ptr<select::PlanMemo>> shard_memos_;
-  std::vector<char> shard_dropped_;            // per user position, per round
-  std::vector<std::uint32_t> shard_cell_of_;   // cell id per user position
-  std::vector<std::uint32_t> shard_cell_start_;  // CSR offsets, n_cells + 1
-  std::vector<std::uint32_t> shard_users_;     // positions grouped by cell
-  std::vector<select::Selection> shard_plans_;
-  std::vector<char> shard_feasible_;
-  // Per-worker cell histograms for the two-pass parallel bucketing
-  // (workers × n_cells, count pass then scatter cursors).
-  std::vector<std::uint32_t> shard_bucket_counts_;
+  std::vector<std::unique_ptr<select::PlanMemo>> round_memos_;
+  std::vector<char> round_dropped_;         // per user position, per round
+  std::vector<std::uint64_t> round_keys_;   // (cell << 32 | position), sorted
+  std::vector<std::uint64_t> round_merge_;  // merge target, swapped with it
+  std::vector<select::Selection> round_plans_;
+  std::vector<char> round_feasible_;
   // Buffered-commit scratch (sim/commit.h).
   CommitScratch commit_scratch_;
   // prices() table for mechanisms without a row-indexed reward table.

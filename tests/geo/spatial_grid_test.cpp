@@ -12,123 +12,6 @@
 namespace mcs::geo {
 namespace {
 
-TEST(SpatialGrid, InsertAndCount) {
-  SpatialGrid g(BoundingBox::square(100.0), 10.0);
-  g.insert(1, {10, 10});
-  g.insert(2, {12, 10});
-  g.insert(3, {90, 90});
-  EXPECT_EQ(g.size(), 3u);
-  EXPECT_EQ(g.count_radius({10, 10}, 5.0), 2u);
-  EXPECT_EQ(g.count_radius({10, 10}, 0.5), 1u);
-  EXPECT_EQ(g.count_radius({50, 50}, 1.0), 0u);
-  EXPECT_EQ(g.count_radius({0, 0}, 1000.0), 3u);
-}
-
-TEST(SpatialGrid, QueryRadiusReturnsIds) {
-  SpatialGrid g(BoundingBox::square(100.0), 10.0);
-  g.insert(7, {50, 50});
-  g.insert(8, {52, 50});
-  g.insert(9, {70, 70});
-  auto ids = g.query_radius({51, 50}, 2.0);
-  std::sort(ids.begin(), ids.end());
-  EXPECT_EQ(ids, (std::vector<std::int32_t>{7, 8}));
-}
-
-TEST(SpatialGrid, RadiusBoundaryIsInclusive) {
-  SpatialGrid g(BoundingBox::square(100.0), 10.0);
-  g.insert(1, {0, 0});
-  EXPECT_EQ(g.count_radius({3, 4}, 5.0), 1u);       // exactly on the circle
-  EXPECT_EQ(g.count_radius({3, 4}, 4.9999), 0u);
-}
-
-TEST(SpatialGrid, RemoveSpecificPoint) {
-  SpatialGrid g(BoundingBox::square(100.0), 10.0);
-  g.insert(1, {5, 5});
-  g.insert(1, {20, 20});  // same id, different point
-  EXPECT_TRUE(g.remove(1, {5, 5}));
-  EXPECT_EQ(g.size(), 1u);
-  EXPECT_EQ(g.count_radius({5, 5}, 1.0), 0u);
-  EXPECT_EQ(g.count_radius({20, 20}, 1.0), 1u);
-  EXPECT_FALSE(g.remove(1, {5, 5}));  // already gone
-}
-
-TEST(SpatialGrid, ClearEmptiesEverything) {
-  SpatialGrid g(BoundingBox::square(100.0), 10.0);
-  g.insert(1, {5, 5});
-  g.insert(2, {50, 50});
-  g.clear();
-  EXPECT_EQ(g.size(), 0u);
-  EXPECT_EQ(g.count_radius({5, 5}, 100.0), 0u);
-}
-
-TEST(SpatialGrid, PointsOutsideBoundsStillQueryable) {
-  SpatialGrid g(BoundingBox::square(10.0), 2.0);
-  g.insert(1, {100, 100});  // far outside; clamped into a border cell
-  EXPECT_EQ(g.count_radius({100, 100}, 1.0), 1u);
-  EXPECT_EQ(g.count_radius({5, 5}, 1.0), 0u);
-}
-
-TEST(SpatialGrid, NearestBasics) {
-  SpatialGrid g(BoundingBox::square(100.0), 10.0);
-  EXPECT_EQ(g.nearest({5, 5}), -1);
-  g.insert(1, {10, 10});
-  g.insert(2, {80, 80});
-  double d = 0.0;
-  EXPECT_EQ(g.nearest({12, 10}, &d), 1);
-  EXPECT_DOUBLE_EQ(d, 2.0);
-  EXPECT_EQ(g.nearest({79, 79}), 2);
-}
-
-TEST(SpatialGrid, NegativeRadiusThrows) {
-  SpatialGrid g(BoundingBox::square(10.0), 1.0);
-  EXPECT_THROW(g.count_radius({0, 0}, -1.0), Error);
-  EXPECT_THROW(g.query_radius({0, 0}, -1.0), Error);
-}
-
-TEST(SpatialGrid, BadCellSizeThrows) {
-  EXPECT_THROW(SpatialGrid(BoundingBox::square(10.0), 0.0), Error);
-}
-
-// Property sweep: grid results must equal brute force for random point sets
-// and random queries, across several cell sizes.
-class SpatialGridProperty : public ::testing::TestWithParam<double> {};
-
-TEST_P(SpatialGridProperty, MatchesBruteForce) {
-  const double cell = GetParam();
-  Rng rng(static_cast<std::uint64_t>(cell * 1000) + 5);
-  const BoundingBox area = BoundingBox::square(1000.0);
-  SpatialGrid grid(area, cell);
-  std::vector<Point> pts;
-  for (int i = 0; i < 300; ++i) {
-    const Point p{rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)};
-    grid.insert(i, p);
-    pts.push_back(p);
-  }
-  for (int q = 0; q < 50; ++q) {
-    const Point center{rng.uniform(0.0, 1000.0), rng.uniform(0.0, 1000.0)};
-    const double radius = rng.uniform(0.0, 400.0);
-    std::size_t brute = 0;
-    double best = 1e18;
-    std::int32_t best_id = -1;
-    for (int i = 0; i < 300; ++i) {
-      const double d = euclidean(center, pts[static_cast<std::size_t>(i)]);
-      if (d <= radius) ++brute;
-      if (d < best) {
-        best = d;
-        best_id = i;
-      }
-    }
-    EXPECT_EQ(grid.count_radius(center, radius), brute);
-    EXPECT_EQ(grid.query_radius(center, radius).size(), brute);
-    double nearest_d = 0.0;
-    EXPECT_EQ(grid.nearest(center, &nearest_d), best_id);
-    EXPECT_NEAR(nearest_d, best, 1e-9);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(CellSizes, SpatialGridProperty,
-                         ::testing::Values(25.0, 100.0, 500.0, 2000.0));
-
 TEST(FrozenGrid, BuildAndCount) {
   const FrozenGrid g(BoundingBox::square(100.0), 10.0,
                      {{10, 10}, {12, 10}, {90, 90}});

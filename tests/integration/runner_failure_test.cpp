@@ -370,6 +370,62 @@ TEST(RunnerCheckpoint, StaleCheckpointsOfAnotherConfigAreNeverResumed) {
                              run_experiment(reseeded));
 }
 
+TEST(RunnerCheckpoint, ResumesAtAnotherWorkerCountBitIdentically) {
+  // The round loop is bit-identical at any worker count — under stochastic
+  // mobility too, whose draws come from per-user substreams — so the
+  // provenance stamp leaves every worker knob out: generations written at
+  // shards = 0 must resume at shards = 4 through the same --checkpoint-dir.
+  const std::string dir = make_temp_dir();
+  const auto config = [&dir](int shards, bool checkpointing) {
+    ExperimentConfig cfg = small_config();
+    cfg.repetitions = 2;
+    cfg.mobility = sim::MobilityKind::kRandomWaypoint;
+    cfg.shards = shards;
+    cfg.max_attempts = 1;
+    if (checkpointing) {
+      cfg.checkpoint_every = 2;
+      cfg.checkpoint_dir = dir;
+    }
+    return cfg;
+  };
+  const auto factory_for = [](const ExperimentConfig& cfg,
+                              std::shared_ptr<std::atomic<bool>> armed,
+                              std::shared_ptr<std::atomic<int>> updates) {
+    return MechanismFactory(
+        [&cfg, armed, updates](const model::World& world, Rng& rng) {
+          return std::make_unique<ThrowOnceMechanism>(
+              incentive::make_mechanism(cfg.mechanism, world,
+                                        cfg.mech_params, rng),
+              /*crash_round=*/3, armed, updates);
+        });
+  };
+
+  // At shards = 0, repetition 0 crashes in round 3 with no retry left; its
+  // round-2 generation stays on disk, and repetition 1 finishes.
+  const ExperimentConfig crashing = config(0, true);
+  auto armed = std::make_shared<std::atomic<bool>>(true);
+  const AggregateResult first = run_experiment_with(
+      crashing,
+      factory_for(crashing, armed, std::make_shared<std::atomic<int>>(0)));
+  ASSERT_EQ(first.failed_reps.size(), 1u);
+
+  // At shards = 4 both repetitions resume from their last generation: round
+  // 1 never runs again.
+  const ExperimentConfig resuming = config(4, true);
+  auto resumed_updates = std::make_shared<std::atomic<int>>(0);
+  const AggregateResult resumed = run_experiment_with(
+      resuming, factory_for(resuming, armed, resumed_updates));
+  EXPECT_TRUE(resumed.failed_reps.empty());
+  EXPECT_EQ(resumed_updates->load(), 0);
+
+  const ExperimentConfig clean = config(0, false);
+  const AggregateResult base = run_experiment_with(
+      clean,
+      factory_for(clean, std::make_shared<std::atomic<bool>>(false),
+                  std::make_shared<std::atomic<int>>(0)));
+  expect_aggregate_identical(base, resumed);
+}
+
 TEST(RunnerFailure, NonErrorExceptionsPropagate) {
   // Only mcs::Error means "this repetition failed" — anything else (say
   // std::bad_alloc) is a programming error and must escape untouched.

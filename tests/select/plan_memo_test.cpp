@@ -152,7 +152,7 @@ TEST(PlanMemo, UnpublishedOwnerIsNeverADominanceTarget) {
   PlanMemo memo({});
   memo.begin_table();
 
-  // The planned loop classifies a whole round before any owner solves.
+  // Classify a second instance before the owner has published its plan.
   const PlanMemo::Ticket t0 =
       memo.classify(make_inst({0, 1, 2}, {240.0, 240.0}, 60.0), 14);
   ASSERT_EQ(t0.outcome, PlanMemo::Outcome::kOwner);

@@ -7,14 +7,10 @@
 // any shard or plan-thread count. Runs under TSan in tier-1: phase A walks
 // and the phase C row apply are concurrent regions over the world's stores.
 //
-// The serial reference is the intra-round session loop, which commits every
-// session as a one-user segment. FrozenPriceSessions drives it with a
-// round-granularity mechanism: it claims updates_within_round() but its
-// reprice() is a no-op, so every session sees the round-start prices the
-// batch paths plan and pay against.
+// The serial reference is the intra-round session loop at frozen prices
+// (serial_reference.h).
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <string>
 #include <utility>
@@ -24,54 +20,15 @@
 #include "incentive/mechanism.h"
 #include "model/world.h"
 #include "select/selector.h"
-#include "sim/event_log.h"
-#include "sim/mobility.h"
 #include "sim/scenario.h"
-#include "sim/serialize.h"
 #include "sim/simulator.h"
+#include "serial_reference.h"
 
 namespace mcs::sim {
 namespace {
 
-// Forwards pricing to a round-granularity mechanism but takes the
-// intra-round session loop with frozen prices. The simulator reads prices
-// through the base class's non-virtual reward_rows(), so the adapter
-// mirrors the inner reward table after every pricing call.
-class FrozenPriceSessions final : public incentive::IncentiveMechanism {
- public:
-  explicit FrozenPriceSessions(
-      std::unique_ptr<incentive::IncentiveMechanism> inner)
-      : inner_(std::move(inner)) {
-    mirror();
-  }
-
-  const char* name() const override { return inner_->name(); }
-
-  void update_rewards(const model::World& world, Round k) override {
-    inner_->update_rewards(world, k);
-    mirror();
-  }
-
-  bool updates_within_round() const override { return true; }
-
-  void reprice(const model::World&, Round,
-               const std::vector<std::size_t>&) override {}
-
-  Json state_to_json() const override { return inner_->state_to_json(); }
-
-  void restore_state(const Json& state) override {
-    inner_->restore_state(state);
-    mirror();
-  }
-
- private:
-  void mirror() {
-    rewards_ = inner_->rewards();
-    rewards_by_row_ = inner_->reward_rows() != nullptr;
-  }
-
-  std::unique_ptr<incentive::IncentiveMechanism> inner_;
-};
+using serial_reference::CampaignRun;
+using serial_reference::expect_bit_identical;
 
 FaultPlan stress_faults() {
   FaultPlan f;
@@ -87,7 +44,7 @@ struct RunKnobs {
   incentive::MechanismKind kind = incentive::MechanismKind::kOnDemand;
   select::SelectorKind selector = select::SelectorKind::kDp;
   bool faults = false;
-  bool serial_reference = false;  // wrap in FrozenPriceSessions
+  bool serial_reference = false;  // run serial_reference::make_reference
   int shards = 0;
   int plan_threads = 1;
 };
@@ -98,28 +55,6 @@ ScenarioParams scenario() {
   p.num_tasks = 12;
   p.required_measurements = 6;
   return p;
-}
-
-struct CampaignRun {
-  std::vector<RoundMetrics> rounds;
-  Money spent = 0.0;
-  Money spent_raw = 0.0;
-  Money spent_comp = 0.0;
-  std::string world_json;
-  std::string events_json;
-};
-
-CampaignRun finish(const Simulator& s) {
-  CampaignRun out;
-  out.rounds = s.history();
-  out.spent = s.budget().spent();
-  // The raw Neumaier words, not just their sum: the merge must reproduce
-  // the exact accumulation order, and these two words are its witnesses.
-  out.spent_raw = s.budget().spent_raw();
-  out.spent_comp = s.budget().compensation();
-  out.world_json = world_to_json(s.world()).dump(2);
-  out.events_json = events_to_json(s.events()).dump();
-  return out;
 }
 
 SimulatorParams make_params(const RunKnobs& k, Round max_rounds) {
@@ -135,13 +70,16 @@ SimulatorParams make_params(const RunKnobs& k, Round max_rounds) {
 CampaignRun run_world(model::World world,
                       std::unique_ptr<incentive::IncentiveMechanism> mechanism,
                       const RunKnobs& k, Round max_rounds) {
-  if (k.serial_reference) {
-    mechanism = std::make_unique<FrozenPriceSessions>(std::move(mechanism));
-  }
-  Simulator s(std::move(world), std::move(mechanism),
-              select::make_selector(k.selector, 14), make_params(k, max_rounds));
+  auto selector = select::make_selector(k.selector, 14);
+  const SimulatorParams sp = make_params(k, max_rounds);
+  Simulator s = k.serial_reference
+                    ? serial_reference::make_reference(
+                          std::move(world), std::move(mechanism),
+                          std::move(selector), sp)
+                    : Simulator(std::move(world), std::move(mechanism),
+                                std::move(selector), sp);
   s.run();
-  return finish(s);
+  return serial_reference::finish(s);
 }
 
 CampaignRun run_campaign(const RunKnobs& k) {
@@ -152,33 +90,9 @@ CampaignRun run_campaign(const RunKnobs& k) {
   return run_world(std::move(world), std::move(mechanism), k, 8);
 }
 
-CampaignRun serial_reference(RunKnobs k) {
+CampaignRun serial_run(RunKnobs k) {
   k.serial_reference = true;
-  k.shards = 0;
-  k.plan_threads = 1;
   return run_campaign(k);
-}
-
-// Everything bit-identical except mean_open_reward: the session loop
-// averages the (identical) per-session means instead of recording the
-// round-start mean once, which may round differently in the last ulp.
-void expect_bit_identical(const CampaignRun& ref, const CampaignRun& b) {
-  EXPECT_EQ(ref.world_json, b.world_json);
-  EXPECT_EQ(ref.spent, b.spent);
-  EXPECT_EQ(ref.spent_raw, b.spent_raw);
-  EXPECT_EQ(ref.spent_comp, b.spent_comp);
-  EXPECT_EQ(ref.events_json, b.events_json);
-  ASSERT_EQ(ref.rounds.size(), b.rounds.size());
-  for (std::size_t k = 0; k < ref.rounds.size(); ++k) {
-    RoundMetrics x = ref.rounds[k];
-    RoundMetrics y = b.rounds[k];
-    EXPECT_NEAR(x.mean_open_reward, y.mean_open_reward,
-                1e-12 * std::max(1.0, y.mean_open_reward))
-        << "round " << k;
-    x.mean_open_reward = y.mean_open_reward = 0.0;
-    EXPECT_EQ(rounds_to_json({x}).dump(), rounds_to_json({y}).dump())
-        << "round " << k;
-  }
 }
 
 // {fixed, on-demand} x {clean, faulted} x shards {0, 1, 2, 8, auto}: the
@@ -190,7 +104,7 @@ TEST(CommitEquivalence, BufferedCommitMatchesLegacySerialBitIdentical) {
       RunKnobs k;
       k.kind = kind;
       k.faults = faults;
-      const CampaignRun reference = serial_reference(k);
+      const CampaignRun reference = serial_run(k);
       EXPECT_GT(reference.spent, 0.0);
       for (const int shards : {0, 1, 2, 8, SimulatorParams::kAutoShards}) {
         SCOPED_TRACE(std::string(incentive::mechanism_name(kind)) +
@@ -203,9 +117,9 @@ TEST(CommitEquivalence, BufferedCommitMatchesLegacySerialBitIdentical) {
   }
 }
 
-// The planned (non-sharded) path with plan workers: phase A fans the walk
-// over the plan pool, so the batch commit must stay bit-identical to the
-// serial reference at any plan-thread count.
+// shards = 0 takes the round loop's worker count from plan_threads: phase
+// A fans the walk over the plan pool, so the batch commit must stay
+// bit-identical to the serial reference at any plan-thread count.
 TEST(CommitEquivalence, PlannedPathParallelWalkMatchesLegacy) {
   for (const auto kind :
        {incentive::MechanismKind::kFixed, incentive::MechanismKind::kOnDemand}) {
@@ -213,7 +127,7 @@ TEST(CommitEquivalence, PlannedPathParallelWalkMatchesLegacy) {
       RunKnobs k;
       k.kind = kind;
       k.faults = faults;
-      const CampaignRun reference = serial_reference(k);
+      const CampaignRun reference = serial_run(k);
       for (const int plan_threads : {1, 4}) {
         SCOPED_TRACE(std::string(incentive::mechanism_name(kind)) +
                      (faults ? "/faults" : "/clean") + "/plan_threads=" +
@@ -226,13 +140,14 @@ TEST(CommitEquivalence, PlannedPathParallelWalkMatchesLegacy) {
 }
 
 // Greedy selector coverage: a different plan shape (and thus a different
-// leg stream) through the same pipeline, planned and sharded.
+// leg stream) through the same pipeline, with workers from plan_threads
+// and from shards.
 TEST(CommitEquivalence, GreedySelectorBufferedMatchesLegacy) {
   for (const bool faults : {false, true}) {
     RunKnobs k;
     k.selector = select::SelectorKind::kGreedy;
     k.faults = faults;
-    const CampaignRun reference = serial_reference(k);
+    const CampaignRun reference = serial_run(k);
     for (const auto& [shards, plan_threads] :
          {std::pair{0, 4}, std::pair{2, 1}, std::pair{8, 1}}) {
       SCOPED_TRACE(std::string(faults ? "faults" : "clean") + "/shards=" +

@@ -1,11 +1,14 @@
-// The parallel plan / serial commit contract: a campaign is bit-identical
-// at any plan-thread count, including the serial fallback for selectors
+// The round loop's plan-thread contract: a round-granularity campaign is
+// bit-identical to the serial one-user-at-a-time reference
+// (serial_reference.h) at any plan-thread count, including for selectors
 // without clone(), and steered's incremental intra-round repricing matches
 // a full per-session recompute. These suites run under TSan in tier-1 (the
-// plan phase is the only concurrent region touching the world).
+// pre-pass, plan and commit walk are the concurrent regions touching the
+// world).
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -20,6 +23,7 @@
 #include "sim/scenario.h"
 #include "sim/serialize.h"
 #include "sim/simulator.h"
+#include "serial_reference.h"
 
 namespace mcs {
 namespace {
@@ -33,12 +37,13 @@ sim::FaultPlan stress_faults() {
   return f;
 }
 
-struct CampaignRun {
-  std::vector<sim::RoundMetrics> rounds;
-  Money spent = 0.0;
-  std::string world_json;
-  std::string events_json;
-};
+using sim::serial_reference::CampaignRun;
+using sim::serial_reference::expect_bit_identical;
+using sim::serial_reference::expect_same_campaign;
+
+// plan_threads = kSerialReference runs the campaign through
+// serial_reference::make_reference instead.
+constexpr int kSerialReference = -1;
 
 CampaignRun run_campaign(incentive::MechanismKind kind, bool faults,
                          int plan_threads,
@@ -62,40 +67,15 @@ CampaignRun run_campaign(incentive::MechanismKind kind, bool faults,
   sp.reprice_threads = reprice_threads;
   sp.record_events = true;
   if (faults) sp.faults = stress_faults();
-  sim::Simulator s(std::move(world), std::move(mechanism),
-                   std::move(selector), sp);
+  sim::Simulator s =
+      plan_threads == kSerialReference
+          ? sim::serial_reference::make_reference(
+                std::move(world), std::move(mechanism), std::move(selector),
+                sp)
+          : sim::Simulator(std::move(world), std::move(mechanism),
+                           std::move(selector), sp);
   s.run();
-  CampaignRun out;
-  out.rounds = s.history();
-  out.spent = s.budget().spent();
-  out.world_json = sim::world_to_json(s.world()).dump(2);
-  out.events_json = sim::events_to_json(s.events()).dump();
-  return out;
-}
-
-void expect_bit_identical(const CampaignRun& a, const CampaignRun& b) {
-  // The serialized end world catches every task/user divergence byte for
-  // byte; the event trace catches per-measurement divergences even when
-  // they cancel out in the end state; the round histories catch
-  // ordering/accounting divergences.
-  EXPECT_EQ(a.world_json, b.world_json);
-  EXPECT_EQ(a.events_json, b.events_json);
-  EXPECT_EQ(a.spent, b.spent);
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t k = 0; k < a.rounds.size(); ++k) {
-    const sim::RoundMetrics& ra = a.rounds[k];
-    const sim::RoundMetrics& rb = b.rounds[k];
-    EXPECT_EQ(ra.new_measurements, rb.new_measurements) << "round " << k;
-    EXPECT_EQ(ra.active_users, rb.active_users) << "round " << k;
-    EXPECT_EQ(ra.open_tasks, rb.open_tasks) << "round " << k;
-    EXPECT_EQ(ra.dropped_users, rb.dropped_users) << "round " << k;
-    EXPECT_EQ(ra.abandoned_tours, rb.abandoned_tours) << "round " << k;
-    EXPECT_EQ(ra.lost_measurements, rb.lost_measurements) << "round " << k;
-    EXPECT_EQ(ra.payout, rb.payout) << "round " << k;
-    EXPECT_EQ(ra.mean_open_reward, rb.mean_open_reward) << "round " << k;
-    EXPECT_EQ(ra.wasted_travel, rb.wasted_travel) << "round " << k;
-    EXPECT_EQ(ra.user_profit, rb.user_profit) << "round " << k;
-  }
+  return sim::serial_reference::finish(s);
 }
 
 // The adaptive-budget mechanism is not a MechanismKind (it is our
@@ -107,51 +87,55 @@ std::unique_ptr<incentive::IncentiveMechanism> make_adaptive() {
       incentive::DemandLevelScale(5), /*budget=*/1000.0, /*lambda=*/0.5);
 }
 
-// {fixed, on-demand, steered} x {no faults, faulted} x plan threads {2, 8}
-// against the serial plan_threads = 1 run. Steered is intra-round (the knob
-// is a documented no-op there) and pins exactly that.
+// {fixed, on-demand, steered} x {no faults, faulted} x plan threads {1, 2,
+// 8} against the serial reference. Steered is intra-round (the knob is a
+// documented no-op there, and its reference is itself at one thread) and
+// pins exactly that.
 TEST(PlanEquivalence, SerialAndParallelCampaignsBitIdentical) {
   for (const auto kind :
        {incentive::MechanismKind::kFixed, incentive::MechanismKind::kOnDemand,
         incentive::MechanismKind::kSteered}) {
     for (const bool faults : {false, true}) {
-      const CampaignRun serial = run_campaign(kind, faults, 1);
-      for (const int threads : {2, 8}) {
+      const CampaignRun reference =
+          run_campaign(kind, faults, kSerialReference);
+      for (const int threads : {1, 2, 8}) {
         SCOPED_TRACE(std::string(incentive::mechanism_name(kind)) +
                      (faults ? "/faults" : "/clean") + "/threads=" +
                      std::to_string(threads));
-        expect_bit_identical(serial, run_campaign(kind, faults, threads));
+        expect_bit_identical(reference, run_campaign(kind, faults, threads));
       }
     }
   }
 }
 
 TEST(PlanEquivalence, AutoThreadCountBitIdentical) {
-  const CampaignRun serial =
-      run_campaign(incentive::MechanismKind::kOnDemand, true, 1);
+  const CampaignRun reference = run_campaign(
+      incentive::MechanismKind::kOnDemand, true, kSerialReference);
   expect_bit_identical(
-      serial, run_campaign(incentive::MechanismKind::kOnDemand, true, 0));
+      reference, run_campaign(incentive::MechanismKind::kOnDemand, true, 0));
 }
 
 // Same plan-thread matrix for the adaptive-budget mechanism (it rides the
-// round-granularity planned path like on-demand does).
+// round-granularity loop like on-demand does).
 TEST(PlanEquivalence, AdaptiveBudgetCampaignsBitIdentical) {
   for (const bool faults : {false, true}) {
-    const CampaignRun serial = run_campaign(
-        incentive::MechanismKind::kOnDemand, faults, 1, make_adaptive());
-    for (const int threads : {2, 8}) {
+    const CampaignRun reference =
+        run_campaign(incentive::MechanismKind::kOnDemand, faults,
+                     kSerialReference, make_adaptive());
+    for (const int threads : {1, 2, 8}) {
       SCOPED_TRACE(std::string(faults ? "faults" : "clean") +
                    "/threads=" + std::to_string(threads));
       expect_bit_identical(
-          serial, run_campaign(incentive::MechanismKind::kOnDemand, faults,
-                               threads, make_adaptive()));
+          reference, run_campaign(incentive::MechanismKind::kOnDemand, faults,
+                                  threads, make_adaptive()));
     }
   }
 }
 
-// A selector that predates the clone() hook: the simulator must fall back
-// to serial planning rather than sharing one (non-reentrant) solver across
-// workers — and the campaign stays identical.
+// A selector that predates the clone() hook cannot fan out: whatever
+// plan_threads or shards ask for, the round loop runs at one worker on the
+// simulator's own (non-reentrant) solver rather than sharing it across
+// workers — and the campaign equals the serial reference.
 class UncloneableSelector final : public select::TaskSelector {
  public:
   UncloneableSelector()
@@ -168,7 +152,7 @@ class UncloneableSelector final : public select::TaskSelector {
 };
 
 TEST(PlanEquivalence, SelectorWithoutCloneFallsBackToSerial) {
-  auto run = [](int plan_threads) {
+  const auto run = [](int plan_threads, int shards) {
     sim::ScenarioParams p;
     p.num_users = 20;
     p.num_tasks = 8;
@@ -178,15 +162,29 @@ TEST(PlanEquivalence, SelectorWithoutCloneFallsBackToSerial) {
     Rng mech_rng = rng.split(0xfeed);
     auto mech = incentive::make_mechanism(incentive::MechanismKind::kOnDemand,
                                           world, {}, mech_rng);
+    auto selector = std::make_unique<UncloneableSelector>();
     sim::SimulatorParams sp;
     sp.max_rounds = 5;
     sp.plan_threads = plan_threads;
-    sim::Simulator s(std::move(world), std::move(mech),
-                     std::make_unique<UncloneableSelector>(), sp);
+    sp.shards = shards;
+    sim::Simulator s =
+        plan_threads == kSerialReference
+            ? sim::serial_reference::make_reference(
+                  std::move(world), std::move(mech), std::move(selector), sp)
+            : sim::Simulator(std::move(world), std::move(mech),
+                             std::move(selector), sp);
     s.run();
-    return sim::world_to_json(s.world()).dump(2);
+    return sim::serial_reference::finish(s);
   };
-  EXPECT_EQ(run(1), run(4));
+  const CampaignRun reference = run(kSerialReference, 0);
+  EXPECT_GT(reference.spent, 0.0);
+  for (const auto& [plan_threads, shards] :
+       {std::pair{1, 0}, std::pair{4, 0}, std::pair{1, 4},
+        std::pair{1, sim::SimulatorParams::kAutoShards}}) {
+    SCOPED_TRACE("plan_threads=" + std::to_string(plan_threads) +
+                 "/shards=" + std::to_string(shards));
+    expect_bit_identical(reference, run(plan_threads, shards));
+  }
 }
 
 // Non-dense user ids: worlds assembled through the mutable users() accessor
@@ -254,7 +252,7 @@ TEST(RepriceEquivalence, CampaignsBitIdenticalAtAnyWorkerCount) {
         SCOPED_TRACE(std::string(incentive::mechanism_name(kind)) +
                      (faults ? "/faults" : "/clean") + "/reprice_threads=" +
                      std::to_string(workers));
-        expect_bit_identical(serial,
+        expect_same_campaign(serial,
                              run_campaign(kind, faults, 1, nullptr, workers));
       }
     }
@@ -264,7 +262,7 @@ TEST(RepriceEquivalence, CampaignsBitIdenticalAtAnyWorkerCount) {
       SCOPED_TRACE(std::string("on-demand-adaptive") +
                    (faults ? "/faults" : "/clean") + "/reprice_threads=" +
                    std::to_string(workers));
-      expect_bit_identical(serial,
+      expect_same_campaign(serial,
                            run_campaign(incentive::MechanismKind::kOnDemand,
                                         faults, 1, make_adaptive(), workers));
     }
@@ -280,7 +278,7 @@ TEST(RepriceEquivalence, SteeredIncrementalMatchesFullRecompute) {
     const CampaignRun full = run_campaign(
         incentive::MechanismKind::kSteered, faults, 1,
         std::make_unique<FullRepriceSteered>(0.5, 10.0, 0.2));
-    expect_bit_identical(incremental, full);
+    expect_same_campaign(incremental, full);
   }
 }
 

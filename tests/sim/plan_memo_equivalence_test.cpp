@@ -1,6 +1,7 @@
 // The plan-memo contract (SimulatorParams::memo): a memoized campaign is
-// bit-identical to the memo-free one — for every mechanism granularity,
-// with and without faults, at any plan-thread count — and the hit/miss
+// bit-identical to the memo-free serial reference (serial_reference.h) —
+// for every mechanism granularity, with and without faults, at any
+// plan-thread count — and the hit/miss
 // accounting is deterministic across thread counts. The dense-POI scenario
 // (home_sites + budget quantization) is the regime the memo exists for and
 // must actually produce exact hits there. Runs under TSan in tier-1.
@@ -18,6 +19,7 @@
 #include "sim/scenario.h"
 #include "sim/serialize.h"
 #include "sim/simulator.h"
+#include "serial_reference.h"
 
 namespace mcs {
 namespace {
@@ -31,10 +33,10 @@ sim::FaultPlan stress_faults() {
   return f;
 }
 
+using sim::serial_reference::expect_bit_identical;
+
 struct CampaignRun {
-  std::vector<sim::RoundMetrics> rounds;
-  Money spent = 0.0;
-  std::string world_json;
+  sim::serial_reference::CampaignRun run;
   select::PlanMemoStats memo;
   sim::CampaignMetrics summary;
 };
@@ -45,6 +47,7 @@ struct RunSpec {
   int plan_threads = 1;
   bool memo = false;
   bool dense = false;  // shared-POI homes + quantized budgets
+  bool serial_reference = false;  // run serial_reference::make_reference
 };
 
 CampaignRun run_campaign(const RunSpec& spec) {
@@ -68,35 +71,18 @@ CampaignRun run_campaign(const RunSpec& spec) {
   sp.plan_threads = spec.plan_threads;
   sp.memo.enabled = spec.memo;
   if (spec.faults) sp.faults = stress_faults();
-  sim::Simulator s(std::move(world), std::move(mechanism),
-                   std::move(selector), sp);
+  sim::Simulator s =
+      spec.serial_reference
+          ? sim::serial_reference::make_reference(
+                std::move(world), std::move(mechanism), std::move(selector),
+                sp)
+          : sim::Simulator(std::move(world), std::move(mechanism),
+                           std::move(selector), sp);
   CampaignRun out;
   out.summary = s.run();
-  out.rounds = s.history();
-  out.spent = s.budget().spent();
-  out.world_json = sim::world_to_json(s.world()).dump(2);
+  out.run = sim::serial_reference::finish(s);
   out.memo = s.plan_memo_stats();
   return out;
-}
-
-void expect_bit_identical(const CampaignRun& a, const CampaignRun& b) {
-  EXPECT_EQ(a.world_json, b.world_json);
-  EXPECT_EQ(a.spent, b.spent);
-  ASSERT_EQ(a.rounds.size(), b.rounds.size());
-  for (std::size_t k = 0; k < a.rounds.size(); ++k) {
-    const sim::RoundMetrics& ra = a.rounds[k];
-    const sim::RoundMetrics& rb = b.rounds[k];
-    EXPECT_EQ(ra.new_measurements, rb.new_measurements) << "round " << k;
-    EXPECT_EQ(ra.active_users, rb.active_users) << "round " << k;
-    EXPECT_EQ(ra.open_tasks, rb.open_tasks) << "round " << k;
-    EXPECT_EQ(ra.dropped_users, rb.dropped_users) << "round " << k;
-    EXPECT_EQ(ra.abandoned_tours, rb.abandoned_tours) << "round " << k;
-    EXPECT_EQ(ra.lost_measurements, rb.lost_measurements) << "round " << k;
-    EXPECT_EQ(ra.payout, rb.payout) << "round " << k;
-    EXPECT_EQ(ra.mean_open_reward, rb.mean_open_reward) << "round " << k;
-    EXPECT_EQ(ra.wasted_travel, rb.wasted_travel) << "round " << k;
-    EXPECT_EQ(ra.user_profit, rb.user_profit) << "round " << k;
-  }
 }
 
 void expect_accounting_sane(const select::PlanMemoStats& s) {
@@ -108,7 +94,7 @@ void expect_accounting_sane(const select::PlanMemoStats& s) {
 }
 
 // {fixed, on-demand, steered} x {clean, faults} x plan_threads {1, 2, 8}:
-// the memoized campaign equals the memo-free serial baseline bit for bit.
+// the memoized campaign equals the memo-free serial reference bit for bit.
 // Steered is intra-round — the memo is a documented no-op there, and this
 // pins exactly that.
 TEST(PlanMemoEquivalence, MemoOnMatchesMemoOffEverywhere) {
@@ -118,7 +104,7 @@ TEST(PlanMemoEquivalence, MemoOnMatchesMemoOffEverywhere) {
                             incentive::MechanismKind::kSteered}) {
       for (const bool faults : {false, true}) {
         const CampaignRun baseline =
-            run_campaign({kind, faults, 1, false, dense});
+            run_campaign({kind, faults, 1, false, dense, true});
         for (const int threads : {1, 2, 8}) {
           SCOPED_TRACE(std::string(incentive::mechanism_name(kind)) +
                        (faults ? "/faults" : "/clean") +
@@ -126,7 +112,7 @@ TEST(PlanMemoEquivalence, MemoOnMatchesMemoOffEverywhere) {
                        std::to_string(threads));
           const CampaignRun memo =
               run_campaign({kind, faults, threads, true, dense});
-          expect_bit_identical(baseline, memo);
+          expect_bit_identical(baseline.run, memo.run);
           expect_accounting_sane(memo.memo);
         }
       }
@@ -136,16 +122,16 @@ TEST(PlanMemoEquivalence, MemoOnMatchesMemoOffEverywhere) {
 
 TEST(PlanMemoEquivalence, AutoThreadCountBitIdentical) {
   const CampaignRun baseline = run_campaign(
-      {incentive::MechanismKind::kOnDemand, true, 1, false, true});
+      {incentive::MechanismKind::kOnDemand, true, 1, false, true, true});
   expect_bit_identical(
-      baseline, run_campaign(
-                    {incentive::MechanismKind::kOnDemand, true, 0, true,
-                     true}));
+      baseline.run, run_campaign({incentive::MechanismKind::kOnDemand, true,
+                                  0, true, true})
+                        .run);
 }
 
-// The accounting itself is deterministic: classification and publication
-// are serial phases in user-position order, so hit/miss counts cannot
-// depend on how the owner solves were sharded.
+// The accounting itself is deterministic: each cell's table is classified,
+// solved and published by one worker in user-position order, so hit/miss
+// counts cannot depend on how the cells were spread over the workers.
 TEST(PlanMemoEquivalence, HitAccountingIdenticalAcrossThreadCounts) {
   const CampaignRun serial = run_campaign(
       {incentive::MechanismKind::kOnDemand, false, 1, true, true});
