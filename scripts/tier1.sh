@@ -59,9 +59,10 @@ if [[ "${SKIP_TSAN}" == "1" ]]; then
 else
   cmake -B build-tsan -S . -DMCS_TSAN=ON
   cmake --build build-tsan -j "${JOBS}" --target test_common test_model test_integration test_sim
-  # Every round-loop suite below compares against the serial
-  # one-user-at-a-time reference (tests/sim/serial_reference.h: the
-  # intra-round session loop at frozen prices).
+  # Every session-engine suite below compares against the serial
+  # one-user-at-a-time oracle (tests/sim/serial_reference.h: a test-held
+  # replay from public APIs that builds instances by brute force and pays,
+  # records and delivers every leg as it is walked).
   # PlanEquivalence drives the round loop through plan_threads 2 and 8 —
   # plan workers gathering candidates concurrently from the round's shared,
   # frozen task index — so it must stay in the TSan net alongside the
@@ -93,10 +94,12 @@ else
   # the resume-equivalence matrix, the RunnerCheckpoint recovery tests and
   # the fork-based CheckpointCrash kill-mid-write harness (unless
   # --skip-crash); decode and the directory-fallback walk are exactly the
-  # code that must never read past a truncated buffer.
+  # code that must never read past a truncated buffer. CommitEquivalence
+  # drives abandoned-tour prefix walks at stress fault rates through the
+  # buffered commit's segment buffers and row-grouped apply.
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'Fault|RunnerFailure|Simulator|EventLog|Checkpoint|SerializeWorld' \
+    -R 'Fault|RunnerFailure|Simulator|EventLog|Checkpoint|SerializeWorld|CommitEquivalence' \
     "${CRASH_EXCLUDE[@]}"
 fi
 

@@ -42,9 +42,11 @@ class IncentiveMechanism {
 
   /// Incremental intra-round repricing. Between two user sessions of one
   /// round only a sliver of the world changes: the previous session's tasks
-  /// gained measurements (their positions arrive in `dirty_tasks`) and some
-  /// users moved (visible through World::neighbor_counts(), which is
-  /// delta-maintained). The simulator calls this instead of
+  /// gained measurements (their positions arrive in `dirty_tasks`) and the
+  /// previous session's walker moved along its tour (visible through
+  /// World::neighbor_counts(), which is delta-maintained). Every round-start
+  /// move (mobility) happens before the round's first session, so no other
+  /// user moves between sessions. The simulator calls this instead of
   /// update_rewards() before every session of a round that has already been
   /// published with update_rewards(world, k).
   ///

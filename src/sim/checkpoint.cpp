@@ -113,22 +113,6 @@ SimulatorParams params_from_json(const Json& j) {
   return p;
 }
 
-Json rng_state_to_json(const Rng::State& s) {
-  Json out = Json::array();
-  for (const std::uint64_t w : s) out.push_back(Json(hex_u64(w)));
-  return out;
-}
-
-Rng::State rng_state_from_json(const Json& j) {
-  const Json::Array& a = j.as_array();
-  MCS_CHECK(a.size() == 4, "xoshiro256** state has exactly 4 words");
-  Rng::State s{};
-  for (std::size_t i = 0; i < 4; ++i) s[i] = u64_from_hex(a[i].as_string());
-  MCS_CHECK((s[0] | s[1] | s[2] | s[3]) != 0,
-            "xoshiro256** state must not be all-zero");
-  return s;
-}
-
 Json memo_stats_to_json(const select::PlanMemoStats& s) {
   Json::Object o;
   o["exact_hits"] = Json(s.exact_hits);
@@ -162,7 +146,6 @@ Json checkpoint_to_json(const CampaignCheckpoint& ckpt) {
   o["params"] = params_to_json(ckpt.params);
   o["next_round"] = Json(ckpt.next_round);
   o["world"] = ckpt.world;
-  o["mobility_rng"] = rng_state_to_json(ckpt.mobility_rng);
   o["mechanism"] = Json(ckpt.mechanism);
   o["mechanism_state"] = ckpt.mechanism_state;
   o["selector"] = Json(ckpt.selector);
@@ -195,7 +178,7 @@ CampaignCheckpoint checkpoint_from_json(const Json& json) {
   MCS_CHECK(c.next_round >= 1 && c.next_round <= c.params.max_rounds + 1,
             "checkpoint round cursor out of range");
   c.world = json.at("world");
-  c.mobility_rng = rng_state_from_json(json.at("mobility_rng"));
+  // Older v1 payloads also carry the retired serial "mobility_rng"; ignored.
   c.mechanism = json.at("mechanism").as_string();
   c.mechanism_state = json.at("mechanism_state");
   c.selector = json.at("selector").as_string();

@@ -3,9 +3,11 @@
 //
 // A CampaignCheckpoint captures everything a mid-campaign Simulator needs to
 // resume *bit-identically*: the world snapshot (tasks, users, earnings), the
-// mechanism's serialized pricing state, the mobility RNG stream, the budget
-// tracker's compensated accumulator, the round cursor, the metrics history
-// and the event trace. Checkpoints are taken at round boundaries only — the
+// mechanism's serialized pricing state, the budget tracker's compensated
+// accumulator, the round cursor, the metrics history and the event trace.
+// No RNG state travels: mobility substreams, the visit shuffle and fault
+// draws are pure functions of the seeds, the round and the user or task.
+// Checkpoints are taken at round boundaries only — the
 // one point where no plan, session or journal is in flight.
 //
 // On-disk format ("envelope"): a single ASCII header line
@@ -34,7 +36,6 @@
 #include <vector>
 
 #include "common/json.h"
-#include "common/rng.h"
 #include "common/types.h"
 #include "select/plan_memo.h"
 #include "sim/event_log.h"
@@ -61,7 +62,6 @@ struct CampaignCheckpoint {
   SimulatorParams params;
   Round next_round = 1;           // the round the resumed campaign runs next
   Json world;                     // world_to_json snapshot
-  Rng::State mobility_rng{};      // the simulator's only sequential stream
   std::string mechanism;          // IncentiveMechanism::name(), validated
   Json mechanism_state;           // IncentiveMechanism::state_to_json()
   std::string selector;           // TaskSelector::name(), validated
@@ -80,9 +80,9 @@ struct CampaignCheckpoint {
   double phase_commit_s = 0.0;
 };
 
-/// JSON payload <-> checkpoint. u64 seeds and RNG words travel as hex
-/// strings (Json numbers are doubles; 2^64 does not fit). from_json throws
-/// mcs::Error on any missing key, type mismatch or out-of-range value.
+/// JSON payload <-> checkpoint. u64 seeds travel as hex strings (Json
+/// numbers are doubles; 2^64 does not fit). from_json throws mcs::Error on
+/// any missing key, type mismatch or out-of-range value.
 Json checkpoint_to_json(const CampaignCheckpoint& ckpt);
 CampaignCheckpoint checkpoint_from_json(const Json& json);
 

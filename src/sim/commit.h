@@ -1,7 +1,7 @@
-// Deterministic shard-parallel commit — the only commit of all three
-// session loops. Round-granularity loops commit once per round over
-// contiguous visit-order segments; the intra-round loop commits every
-// session as a one-user segment.
+// Deterministic shard-parallel commit — the only commit of the session
+// engine (Simulator::commit_sessions). Round-granularity rounds commit once
+// per round over contiguous visit-order segments; intra-round rounds commit
+// every session as a one-user slice of the visit order.
 //
 // The original commit walked every user's planned tour serially in visit
 // order, interleaving per-leg work that touches wildly scattered state: a

@@ -83,11 +83,11 @@ struct CampaignMetrics {
   long long plan_fallbacks = 0;
   // Cumulative wall-clock seconds per round phase, populated only when
   // SimulatorParams::phase_timers is set (all zero otherwise). Pre-pass
-  // covers mobility/dropout (plus the cell bucketing of the
-  // round-granularity loop), plan the round task index and the selection
-  // solves, reprice the mechanism's reward updates, commit the
-  // walk/merge/apply delivery pipeline. Untimed
-  // glue (open-set scans, pool build, metrics) is excluded. The counters
+  // covers mobility/dropout and the cell bucketing, plan the visit-order
+  // shuffle and the selection solves, reprice the round-start publish
+  // (reward updates, open-task scan, round task index) and the
+  // per-session reprices, commit the walk/merge/apply delivery pipeline.
+  // Untimed glue (pool build, metrics) is excluded. The counters
   // are carried through checkpoints, so a resumed campaign's summary
   // reports whole-campaign times (wall clock, not comparable across
   // machines — a diagnostic, not a metric).

@@ -1,5 +1,7 @@
 #include "sim/mobility.h"
 
+#include <numeric>
+
 #include "common/error.h"
 #include "common/strings.h"
 
@@ -32,6 +34,15 @@ geo::Point CommuteMobility::start_of_round(const model::User& user, Round k,
   // Workplace = home mirrored through the area center (a stable, distinct
   // second anchor without extra per-user state).
   return area.clamp({2.0 * center.x - home.x, 2.0 * center.y - home.y});
+}
+
+std::vector<std::uint32_t> visit_order(std::uint64_t order_seed, Round k,
+                                       std::size_t n_users) {
+  std::vector<std::uint32_t> order(n_users);
+  std::iota(order.begin(), order.end(), std::uint32_t{0});
+  Rng rng(order_seed + 0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(k));
+  rng.shuffle(order);
+  return order;
 }
 
 MobilityKind parse_mobility(const std::string& name) {

@@ -8,9 +8,13 @@
 // (bench_ext_mobility) studies how each mechanism copes.
 #pragma once
 
+#include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <string>
+#include <vector>
 
+#include "common/hash.h"
 #include "common/rng.h"
 #include "common/types.h"
 #include "geo/bbox.h"
@@ -24,9 +28,12 @@ class MobilityModel {
 
   virtual const char* name() const = 0;
 
-  /// Where `user` begins round `k`. Called once per (user, round); `rng` is
-  /// a per-simulation stream, so models may draw freely. Implementations
-  /// must return a point inside `area`.
+  /// Where `user` begins round `k`. Called once per (user, round), for
+  /// every user before the round's first session; `rng` is the user's own
+  /// substream for the round (mobility_stream_seed), so models may draw
+  /// freely. Calls for different users may run concurrently: models must
+  /// not mutate shared state. Implementations must return a point inside
+  /// `area`.
   virtual geo::Point start_of_round(const model::User& user, Round k,
                                     const geo::BoundingBox& area, Rng& rng) = 0;
 };
@@ -74,6 +81,23 @@ class CommuteMobility final : public MobilityModel {
   geo::Point start_of_round(const model::User& user, Round k,
                             const geo::BoundingBox& area, Rng& rng) override;
 };
+
+/// Seed of the mobility substream of the user at position `pos` in round
+/// `k`: a pure function of (order_seed, k, pos), so every user walks the
+/// same trajectory whatever the visit order, the other users' draws or the
+/// worker count. The simulator and the test oracle both seed from here.
+inline std::uint64_t mobility_stream_seed(std::uint64_t order_seed, Round k,
+                                          std::uint32_t pos) {
+  return hash_combine(hash_combine(mix64(order_seed ^ 0x5ba9d0c4f1e2a687ULL),
+                                   static_cast<std::uint64_t>(k)),
+                      pos);
+}
+
+/// The order in which users take their sessions in round `k`: the
+/// positions 0..n_users-1, Fisher–Yates shuffled by a generator derived
+/// from (order_seed, k). The simulator and the test oracle both call this.
+std::vector<std::uint32_t> visit_order(std::uint64_t order_seed, Round k,
+                                       std::size_t n_users);
 
 enum class MobilityKind { kStaticHome, kRandomWaypoint, kGaussianDrift, kCommute };
 

@@ -4,10 +4,8 @@
 #include <chrono>
 #include <cmath>
 #include <memory>
-#include <numeric>
 
 #include "common/error.h"
-#include "common/hash.h"
 #include "common/rng.h"
 #include "common/stats.h"
 #include "geo/distance.h"
@@ -27,7 +25,6 @@ Simulator::Simulator(model::World world,
       params_(params),
       mobility_(mobility ? std::move(mobility)
                          : std::make_unique<StaticHomeMobility>()),
-      mobility_rng_(params.order_seed ^ 0xb0b1b2b3b4b5b6b7ULL),
       faults_(params.faults, params.order_seed),
       budget_(params.platform_budget, /*strict=*/false),
       events_(params.record_events),
@@ -54,16 +51,6 @@ void lap(double& phase, double& t0) {
   t0 = now;
 }
 
-std::vector<bool> open_tasks(const model::World& world,
-                             const std::vector<Money>& price, Round k) {
-  std::vector<bool> open(world.num_tasks(), false);
-  for (std::size_t i = 0; i < world.num_tasks(); ++i) {
-    const model::Task& t = world.tasks()[i];
-    open[i] = !t.completed() && !t.expired_at(k) && price[i] > 0.0;
-  }
-  return open;
-}
-
 }  // namespace
 
 const std::vector<Money>& Simulator::prices() {
@@ -81,12 +68,8 @@ const std::vector<Money>& Simulator::prices() {
 
 std::vector<select::SelectionInstance> Simulator::peek_instances() {
   MCS_CHECK(next_round_ <= params_.max_rounds, "campaign already over");
-  const Round k = next_round_;
-  mechanism_->update_rewards(world_, k);
-  const std::vector<Money>& price = prices();
-  std::vector<bool> open = open_tasks(world_, price, k);
-  apply_withdrawals(open, k);
-  index_round_tasks(open);
+  int withdrawn = 0;
+  const std::vector<Money>& price = publish_round(next_round_, withdrawn);
   const model::UserStore& us = world_.user_store();
   std::vector<select::SelectionInstance> out(us.size());
   std::vector<std::int32_t> hits;
@@ -102,16 +85,44 @@ Meters Simulator::grid_cell_size() const {
   return std::max(std::max(a.width(), a.height()) / 64.0, 1e-3);
 }
 
-void Simulator::index_round_tasks(const std::vector<bool>& open) {
+const std::vector<Money>& Simulator::publish_round(Round k, int& withdrawn) {
+  mechanism_->update_rewards(world_, k);
+  const std::vector<Money>& price = prices();
+  // A task is open when it still asks for data at a positive price. For
+  // round-granularity mechanisms, selections are made against this set and
+  // every delivery within the round is honored; intra-round mechanisms
+  // reprice before each session, but a task that completes mid-round
+  // likewise stays deliverable for the users of this round. A glitch fault
+  // withdraws an open task from this round's published set (users cannot
+  // select or deliver it); it returns next round.
   const model::TaskStore& ts = world_.task_store();
+  withdrawn = 0;
   round_rows_.clear();
   round_points_.clear();
   for (std::size_t i = 0; i < ts.size(); ++i) {
-    if (!open[i]) continue;
+    const model::Task& t = world_.tasks()[i];
+    if (t.completed() || t.expired_at(k) || price[i] <= 0.0) continue;
+    if (faults_.enabled() && faults_.withdraw_task(t.id(), k)) {
+      ++withdrawn;
+      continue;
+    }
     round_rows_.push_back(static_cast<std::uint32_t>(i));
     round_points_.push_back(ts.location[i]);
   }
   round_grid_.rebuild(world_.area(), grid_cell_size(), round_points_);
+  // Sparse-id worlds resolve plan task ids through the store's hash index
+  // when the round's tours are walked; warm it here, once per round and
+  // serially, so concurrent walkers only ever read a fresh index
+  // (IdRowIndex's lazy rebuild is not safe to race).
+  if (ts.row_index.built_size != ts.size()) {
+    for (std::size_t i = 0; i < ts.size(); ++i) {
+      if (ts.id[i] != static_cast<TaskId>(i)) {
+        ts.row_index.rebuild(ts.id);
+        break;
+      }
+    }
+  }
+  return price;
 }
 
 void Simulator::gather(std::uint32_t pos, geo::Point start,
@@ -141,21 +152,6 @@ void Simulator::gather(std::uint32_t pos, geo::Point start,
     if (price[row] <= 0.0) continue;
     inst.candidates.push_back({ts.id[row], ts.location[row], price[row]});
   }
-}
-
-int Simulator::apply_withdrawals(std::vector<bool>& open, Round k) const {
-  if (!faults_.enabled()) return 0;
-  // Platform glitch: an open task vanishes from this round's published set
-  // (users cannot select or deliver it); it returns next round.
-  int withdrawn = 0;
-  for (std::size_t i = 0; i < open.size(); ++i) {
-    if (!open[i]) continue;
-    if (faults_.withdraw_task(world_.tasks()[i].id(), k)) {
-      open[i] = false;
-      ++withdrawn;
-    }
-  }
-  return withdrawn;
 }
 
 bool Simulator::all_tasks_closed() const {
@@ -226,64 +222,32 @@ void Simulator::walk_tour(Round k, std::uint32_t pos,
   if (walked_legs > 0) ++seg.active;
 }
 
-void Simulator::merge_and_apply(Round k, RoundMetrics& rm) {
-  // Phase B: ordered merge — payments, events, wasted travel and fault
-  // counters replay in global visit order, bit-identical to the serial
-  // interleaving.
-  const std::vector<CommitSegment>& segments = commit_scratch_.segments;
-  const Money paid_before = budget_.spent();
-  merge_commit_segments(segments, k, world_.task_store(), budget_, events_, rm);
-  Money sub_total = 0.0;
-  for (const CommitSegment& seg : segments) sub_total += seg.paid.total();
-  const Money paid_delta = budget_.spent() - paid_before;
-  MCS_ASSERT(std::abs(paid_delta - sub_total) <=
-                 1e-6 * std::max(1.0, std::abs(paid_delta)),
-             "commit merge payment replay deviates from the sub-accounts");
-
-  // Phase C: task-grouped delivery apply.
-  const int workers =
-      plan_pool_ ? static_cast<int>(plan_selectors_.size()) : 1;
-  apply_commit_deliveries(segments, k, world_.task_store_mut(),
-                          commit_scratch_, plan_pool_.get(), workers);
-}
-
 void Simulator::commit_sessions(Round k,
-                                const std::vector<std::uint32_t>& visit_order,
+                                std::span<const std::uint32_t> order,
                                 const std::vector<char>& dropped,
                                 const std::vector<select::Selection>& plans,
                                 const std::vector<char>& feasible,
                                 const std::vector<Money>& price,
                                 RoundMetrics& rm) {
-  const std::size_t n = visit_order.size();
+  const std::size_t n = order.size();
   const model::TaskStore& ts = world_.task_store();
-
-  // Sparse-id worlds resolve plan task ids through the store's hash index;
-  // warm it here, serially, so the concurrent walkers only ever read a
-  // fresh index (IdRowIndex's lazy rebuild is not safe to race).
-  if (ts.row_index.built_size != ts.size()) {
-    for (std::size_t i = 0; i < ts.size(); ++i) {
-      if (ts.id[i] != static_cast<TaskId>(i)) {
-        ts.row_index.rebuild(ts.id);
-        break;
-      }
-    }
-  }
 
   const int workers =
       plan_pool_ ? static_cast<int>(plan_selectors_.size()) : 1;
   const std::size_t n_segs = std::max<std::size_t>(
       1, std::min<std::size_t>(static_cast<std::size_t>(workers), n));
-  commit_scratch_.segments.resize(n_segs);
-  for (CommitSegment& seg : commit_scratch_.segments) seg.clear();
+  std::vector<CommitSegment>& segments = commit_scratch_.segments;
+  segments.resize(n_segs);
+  for (CommitSegment& seg : segments) seg.clear();
 
   // Phase A: walk the tours into per-segment effect buffers. Everything a
   // walker writes is either private to its segment or private to its users'
-  // rows — segments hold contiguous visit-order ranges, and a user appears
-  // in the visit order exactly once.
+  // rows — segments hold contiguous ranges of `order`, and a user appears
+  // in it at most once.
   const auto walk_range = [&](CommitSegment& seg, std::size_t lo,
                               std::size_t hi) {
     for (std::size_t idx = lo; idx < hi; ++idx) {
-      const std::uint32_t pos = visit_order[idx];
+      const std::uint32_t pos = order[idx];
       if (dropped[pos] != 0) {
         ++seg.dropped;
         continue;
@@ -294,87 +258,36 @@ void Simulator::commit_sessions(Round k,
   };
 
   if (n_segs <= 1 || plan_pool_ == nullptr) {
-    walk_range(commit_scratch_.segments[0], 0, n);
+    walk_range(segments[0], 0, n);
   } else {
     const std::size_t chunk = (n + n_segs - 1) / n_segs;
     for (std::size_t s = 0; s < n_segs; ++s) {
       const std::size_t lo = std::min(n, s * chunk);
       const std::size_t hi = std::min(n, lo + chunk);
       if (lo < hi) {
-        plan_pool_->submit(
-            [&walk_range, &seg = commit_scratch_.segments[s], lo, hi] {
-              walk_range(seg, lo, hi);
-            });
+        plan_pool_->submit([&walk_range, &seg = segments[s], lo, hi] {
+          walk_range(seg, lo, hi);
+        });
       }
     }
     plan_pool_->wait_idle();
   }
-  merge_and_apply(k, rm);
-}
 
-void Simulator::run_sessions_intra_round(
-    Round k, const std::vector<bool>& open,
-    const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm,
-    double& session_mean_sum, int& priced_sessions) {
-  // Task positions the previous session touched: between two sessions of
-  // one round only those tasks gained measurements, so the mechanism can
-  // reprice incrementally instead of rescanning the whole task set.
-  const bool timed = params_.phase_timers;
-  double t0 = timed ? mono_seconds() : 0.0;
-  std::vector<std::size_t> dirty;
-  select::SelectionInstance inst;
-  std::vector<std::int32_t> hits;
-  commit_scratch_.segments.resize(1);
-  CommitSegment& seg = commit_scratch_.segments[0];
-  for (const std::uint32_t pos : visit_order) {
-    model::User& u = world_.users()[pos];
-    // Mobility advances for every user, dropped or not (the worker is
-    // somewhere that round; they just do not work) — fault draws therefore
-    // never shift the mobility stream.
-    u.set_location(
-        mobility_->start_of_round(u, k, world_.area(), mobility_rng_));
+  // Phase B: ordered merge — payments, events, wasted travel and fault
+  // counters replay in global visit order, bit-identical to the serial
+  // interleaving.
+  const Money paid_before = budget_.spent();
+  merge_commit_segments(segments, k, ts, budget_, events_, rm);
+  Money sub_total = 0.0;
+  for (const CommitSegment& seg : segments) sub_total += seg.paid.total();
+  const Money paid_delta = budget_.spent() - paid_before;
+  MCS_ASSERT(std::abs(paid_delta - sub_total) <=
+                 1e-6 * std::max(1.0, std::abs(paid_delta)),
+             "commit merge payment replay deviates from the sub-accounts");
 
-    const bool drop = faults_.enabled() && faults_.drop_user(u.id(), k);
-    if (timed) lap(phase_.prepass, t0);
-    if (drop) {
-      // Offline this round: no session (so intra-round mechanisms see no
-      // repricing event either), no travel, zero profit. The dirty set
-      // carries over to the next surviving session.
-      ++rm.dropped_users;
-      continue;
-    }
-
-    mechanism_->reprice(world_, k, dirty);
-    const std::vector<Money>& price = prices();
-    // What this session was actually offered: the round's open tasks at
-    // their freshly published prices (price 0 = withdrawn, not published).
-    double session_sum = 0.0;
-    int session_open = 0;
-    for (std::size_t i = 0; i < world_.num_tasks(); ++i) {
-      if (!open[i] || price[i] <= 0.0) continue;
-      session_sum += price[i];
-      ++session_open;
-    }
-    if (session_open > 0) {
-      session_mean_sum += session_sum / session_open;
-      ++priced_sessions;
-    }
-    if (timed) lap(phase_.reprice, t0);
-
-    gather(pos, u.location(), price, hits, inst);
-    const select::Selection sel = selector_->select(inst);
-    MCS_ASSERT(select::is_feasible(inst, sel),
-               "selector returned an infeasible tour");
-    if (timed) lap(phase_.plan, t0);
-    // The session commits as a one-user segment at the prices it was just
-    // offered; the rows it delivered to become the next reprice's dirty set.
-    seg.clear();
-    walk_tour(k, pos, sel, price, seg, rm);
-    merge_and_apply(k, rm);
-    dirty.assign(commit_scratch_.dirty_row_list.begin(),
-                 commit_scratch_.dirty_row_list.end());
-    if (timed) lap(phase_.commit, t0);
-  }
+  // Phase C: task-grouped delivery apply.
+  apply_commit_deliveries(segments, k, world_.task_store_mut(),
+                          commit_scratch_, plan_pool_.get(), workers);
 }
 
 bool Simulator::ensure_plan_workers(int threads) {
@@ -402,12 +315,15 @@ int Simulator::round_worker_count() const {
                              : resolve_threads(params_.plan_threads);
 }
 
-void Simulator::run_sessions_batched(
-    Round k, const std::vector<Money>& price,
-    const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm) {
-  // A selector without clone() cannot fan out (its scratch arenas are not
-  // reentrant): the same loop then runs at one worker on selector_.
-  int workers = std::max(round_worker_count(), 1);
+void Simulator::run_sessions(Round k, const std::vector<Money>& price,
+                             const std::vector<std::uint32_t>& visit_order,
+                             RoundMetrics& rm) {
+  // Intra-round mechanisms reprice between sessions, so their sessions run
+  // one after another at one worker. A selector without clone() cannot fan
+  // out either (its scratch arenas are not reentrant): the same loop then
+  // runs at one worker on selector_.
+  const bool intra_round = mechanism_->updates_within_round();
+  int workers = intra_round ? 1 : std::max(round_worker_count(), 1);
   if (workers > 1 && !ensure_plan_workers(workers)) workers = 1;
   const bool pooled_workers = workers > 1;
 
@@ -417,27 +333,26 @@ void Simulator::run_sessions_batched(
   double t0 = timed ? mono_seconds() : 0.0;
 
   // --- Pre-pass: mobility, dropout and the user's cell key over disjoint
-  // position ranges. Each user's draws come from a private counter-based
-  // substream seeded from (order_seed, round, position), so the result is
-  // a pure per-user function — independent of execution order and worker
-  // count. Static models (static-home, commute) draw nothing. Mobility
-  // models must be stateless under concurrent calls (all shipped ones
-  // are); dropout draws are stateless hashes already. The key is
-  // (cell << 32 | position), the cell being the grid cell of the user's
-  // round-start location.
+  // position ranges, for every user before the round's first session —
+  // whichever mechanism kind prices the round. Each user's draws come from
+  // a private substream (mobility_stream_seed), so the result is a pure
+  // per-user function — independent of execution order and worker count.
+  // Static models (static-home, commute) draw nothing. Mobility models
+  // must be stateless under concurrent calls (all shipped ones are);
+  // dropout draws are stateless hashes already. The key is (cell << 32 |
+  // position), the cell being the grid cell of the user's round-start
+  // location.
   const Meters cell = grid_cell_size();
   const geo::BoundingBox& area = world_.area();
   const int nx = std::max(1, static_cast<int>(std::ceil(area.width() / cell)));
   const int ny = std::max(1, static_cast<int>(std::ceil(area.height() / cell)));
   round_dropped_.assign(n_users, 0);
   round_keys_.resize(n_users);
-  const std::uint64_t round_base =
-      hash_combine(mix64(params_.order_seed ^ 0x5ba9d0c4f1e2a687ULL),
-                   static_cast<std::uint64_t>(k));
   const auto prepass_range = [&](std::size_t lo, std::size_t hi) {
     for (std::size_t pos = lo; pos < hi; ++pos) {
       model::User& u = world_.users()[pos];
-      Rng rng(hash_combine(round_base, static_cast<std::uint64_t>(pos)));
+      Rng rng(mobility_stream_seed(params_.order_seed, k,
+                                   static_cast<std::uint32_t>(pos)));
       u.set_location(mobility_->start_of_round(u, k, area, rng));
       if (faults_.enabled() && faults_.drop_user(u.id(), k)) {
         round_dropped_[pos] = 1;
@@ -460,7 +375,7 @@ void Simulator::run_sessions_batched(
   // merge pairwise on the pool. Only the memo tables and the worker
   // partition read the buckets (plans are per-user pure), so one worker
   // without the memo plans the unsorted keys, in position order.
-  const bool memo_on = params_.memo.enabled;
+  const bool memo_on = params_.memo.enabled && !intra_round;
   if (pooled_workers && n_users > 1) {
     const std::size_t chunk =
         (n_users + static_cast<std::size_t>(workers) - 1) /
@@ -494,10 +409,70 @@ void Simulator::run_sessions_batched(
   }
   if (timed) lap(phase_.prepass, t0);
 
-  // --- Plan phase: contiguous key ranges per worker, every instance from
-  // the round's one candidate gather.
+  // --- Plan phase. Every instance comes from the round's one candidate
+  // gather and is solved by this one step, on any worker.
   round_plans_.assign(n_users, select::Selection{});
   round_feasible_.assign(n_users, 1);
+  const auto solve = [this](const select::TaskSelector& solver,
+                            std::uint32_t pos,
+                            const select::SelectionInstance& inst) {
+    round_plans_[pos] = solver.select(inst);
+    round_feasible_[pos] =
+        select::is_feasible(inst, round_plans_[pos]) ? 1 : 0;
+  };
+
+  if (intra_round) {
+    // Per-session pricing: in visit order, each surviving user is offered
+    // freshly repriced tasks (dirty set = the rows the previous session
+    // delivered to; a dropped user has no session, so the set carries
+    // over), plans at those prices and commits as a one-user slice before
+    // the next session is priced.
+    std::vector<std::size_t> dirty;
+    std::vector<std::int32_t> hits;
+    select::SelectionInstance inst;
+    double session_mean_sum = 0.0;
+    int priced_sessions = 0;
+    for (std::size_t idx = 0; idx < n_users; ++idx) {
+      const std::uint32_t pos = visit_order[idx];
+      if (round_dropped_[pos] != 0) {
+        ++rm.dropped_users;
+        continue;
+      }
+      mechanism_->reprice(world_, k, dirty);
+      const std::vector<Money>& session_price = prices();
+      // What this session was offered: the round's open tasks at their
+      // fresh prices (price 0 = not published).
+      double session_sum = 0.0;
+      int session_open = 0;
+      for (const std::uint32_t row : round_rows_) {
+        if (session_price[row] <= 0.0) continue;
+        session_sum += session_price[row];
+        ++session_open;
+      }
+      if (session_open > 0) {
+        session_mean_sum += session_sum / session_open;
+        ++priced_sessions;
+      }
+      if (timed) lap(phase_.reprice, t0);
+      gather(pos, us.location[pos], session_price, hits, inst);
+      solve(*selector_, pos, inst);
+      if (timed) lap(phase_.plan, t0);
+      commit_sessions(k, {&visit_order[idx], 1}, round_dropped_, round_plans_,
+                      round_feasible_, session_price, rm);
+      dirty.assign(commit_scratch_.dirty_row_list.begin(),
+                   commit_scratch_.dirty_row_list.end());
+      if (timed) lap(phase_.commit, t0);
+    }
+    // The published mean of an intra-round round is the mean over the
+    // session prices, not the round-start snapshot.
+    if (priced_sessions > 0) {
+      rm.mean_open_reward = session_mean_sum / priced_sessions;
+    }
+    return;
+  }
+
+  // Round granularity: contiguous key ranges per worker against the frozen
+  // round prices.
   if (memo_on && round_memos_.size() != static_cast<std::size_t>(workers)) {
     round_memos_.clear();
     for (int w = 0; w < workers; ++w) {
@@ -514,11 +489,6 @@ void Simulator::run_sessions_batched(
         memo_on ? round_memos_[static_cast<std::size_t>(w)].get() : nullptr;
     std::vector<std::int32_t> hits;
     select::SelectionInstance inst;
-    const auto solve = [&](std::uint32_t pos) {
-      round_plans_[pos] = solver.select(inst);
-      round_feasible_[pos] =
-          select::is_feasible(inst, round_plans_[pos]) ? 1 : 0;
-    };
     std::uint64_t table_cell = ~std::uint64_t{0};
     for (std::size_t idx = lo; idx < hi; ++idx) {
       const std::uint64_t key = round_keys_[idx];
@@ -533,7 +503,7 @@ void Simulator::run_sessions_batched(
       if (round_dropped_[pos] != 0) continue;
       gather(pos, us.location[pos], price, hits, inst);
       if (memo == nullptr) {
-        solve(pos);
+        solve(solver, pos, inst);
         continue;
       }
       // Single-pass memo: the owner of every class precedes its hits in
@@ -542,7 +512,7 @@ void Simulator::run_sessions_batched(
       const select::PlanMemo::Ticket ticket = memo->classify(inst, exact_limit);
       switch (ticket.outcome) {
         case select::PlanMemo::Outcome::kOwner:
-          solve(pos);
+          solve(solver, pos, inst);
           memo->publish(ticket, round_plans_[pos], round_feasible_[pos] != 0);
           break;
         case select::PlanMemo::Outcome::kExactHit:
@@ -555,7 +525,7 @@ void Simulator::run_sessions_batched(
             round_plans_[pos] = *cached;  // the proven empty tour
             round_feasible_[pos] = 1;
           } else {
-            solve(pos);
+            solve(solver, pos, inst);
           }
           break;
         }
@@ -619,12 +589,13 @@ const RoundMetrics& Simulator::step() {
   const bool timed = params_.phase_timers;
 
   // (1)+(2) Platform updates and publishes rewards for round k: the
-  // round-start neighbor-cache refresh (N_i for the X3 factor), the Eqs.
-  // 2-9 sweep, the open-task scan with its withdrawals and the published
-  // mean price — all of it the reprice phase. The refresh recounts in
-  // parallel or replays the moves serially, whichever its mover-count cost
-  // model says is cheaper (integer-exact either way), on the reprice pool
-  // when reprice workers are configured, else on the plan pool of a
+  // round-start neighbor-cache refresh (N_i for the X3 factor), then
+  // publish_round() — the Eqs. 2-9 sweep, the open-task scan with its
+  // withdrawals and the round task index — and the published mean price:
+  // all of it the reprice phase. The refresh recounts in parallel or
+  // replays the moves serially, whichever its mover-count cost model says
+  // is cheaper (integer-exact either way), on the reprice pool when
+  // reprice workers are configured, else on the plan pool of a
   // round-granularity round; the mechanism's sweep shards over the reprice
   // pool only.
   double t0 = timed ? mono_seconds() : 0.0;
@@ -647,70 +618,30 @@ const RoundMetrics& Simulator::step() {
     }
   }
   world_.refresh_neighbor_cache(refresh_pool, refresh_workers);
-  mechanism_->update_rewards(world_, k);
-  const std::vector<Money>& price = prices();
-
-  // Which tasks are open when the round begins. For round-granularity
-  // mechanisms, selections are made against this snapshot and every
-  // delivery within the round is honored; intra-round mechanisms reprice
-  // before each user session, but a task that completes mid-round likewise
-  // stays deliverable for the users of this round. Glitched tasks leave the
-  // set before anything is published.
-  std::vector<bool> open = open_tasks(world_, price, k);
 
   RoundMetrics rm;
   rm.round = k;
-  rm.withdrawn_tasks = apply_withdrawals(open, k);
+  const std::vector<Money>& price = publish_round(k, rm.withdrawn_tasks);
   rm.user_profit.assign(world_.num_users(), 0.0);
   // Round-start snapshot of the published prices. For round-granularity
   // mechanisms these are exactly the prices every user of the round faces;
-  // intra-round mechanisms reprice before each session, so their published
-  // mean is re-recorded from the session prices below.
-  for (std::size_t i = 0; i < world_.num_tasks(); ++i) {
-    if (!open[i]) continue;
-    rm.mean_open_reward += price[i];
-    ++rm.open_tasks;
-  }
+  // intra-round mechanisms reprice before each session, so run_sessions()
+  // re-records their mean from the session prices.
+  for (const std::uint32_t row : round_rows_) rm.mean_open_reward += price[row];
+  rm.open_tasks = static_cast<int>(round_rows_.size());
   if (rm.open_tasks > 0) rm.mean_open_reward /= rm.open_tasks;
-
-  // Intra-round price recording: mean published price per user session,
-  // averaged over the sessions that had at least one priced task.
-  double session_mean_sum = 0.0;
-  int priced_sessions = 0;
 
   const long long before = world_.total_received();
   const Money paid_before = budget_.spent();
   if (timed) lap(phase_.reprice, t0);
 
-  // Users take their sessions in a shuffled order each round. The order
-  // holds positions into world().users() (iota over 0..U-1 and the
-  // Fisher–Yates swaps are value-independent, so for dense ids this is the
-  // same permutation the id-typed order produced).
-  std::vector<std::uint32_t> visit_order(world_.num_users());
-  std::iota(visit_order.begin(), visit_order.end(), std::uint32_t{0});
-  Rng order_rng(params_.order_seed +
-                0x9e3779b97f4a7c15ULL * static_cast<std::uint64_t>(k));
-  order_rng.shuffle(visit_order);
-
-  // (3)+(4) Every user selects and performs a task set. Every loop builds
-  // its instances with gather() from one task index per round, built here
-  // after the withdrawals — planning work, so it sits in the plan timer
-  // with the visit-order shuffle above.
-  index_round_tasks(open);
+  // (3)+(4) Every user selects and performs a task set, in a freshly
+  // shuffled order each round (positions into world().users()).
+  const std::vector<std::uint32_t> order =
+      visit_order(params_.order_seed, k, world_.num_users());
   if (timed) phase_.plan += mono_seconds() - t0;
-  if (intra_round) {
-    run_sessions_intra_round(k, open, visit_order, rm, session_mean_sum,
-                             priced_sessions);
-  } else {
-    run_sessions_batched(k, price, visit_order, rm);
-  }
+  run_sessions(k, price, order, rm);
   if (params_.memo.enabled && !intra_round) plan_memo_.count_round();
-
-  // For intra-round mechanisms the round-start snapshot is not what users
-  // were offered; replace it with the mean over the session prices.
-  if (intra_round && priced_sessions > 0) {
-    rm.mean_open_reward = session_mean_sum / priced_sessions;
-  }
 
   // (5) Round bookkeeping; the next update_rewards() call recomputes
   // demands from this new state. The sweeps over every task close the
@@ -765,7 +696,6 @@ CampaignCheckpoint Simulator::checkpoint() const {
   c.params = params_;
   c.next_round = next_round_;
   c.world = world_to_json(world_);
-  c.mobility_rng = mobility_rng_.state();
   c.mechanism = mechanism_->name();
   c.mechanism_state = mechanism_->state_to_json();
   c.selector = selector_->name();
@@ -813,7 +743,6 @@ Simulator Simulator::resume(
   MCS_CHECK(ckpt.history.size() ==
                 static_cast<std::size_t>(ckpt.next_round - 1),
             "checkpoint history length does not match its round cursor");
-  s.mobility_rng_.restore_state(ckpt.mobility_rng);
   s.budget_.restore(ckpt.budget_spent, ckpt.budget_comp);
   s.events_.restore(ckpt.events);
   s.history_ = ckpt.history;

@@ -9,10 +9,19 @@
 //   (5) the platform recomputes task demands for the next round.
 // Completed and expired tasks are withdrawn at round boundaries. The loop
 // runs until `max_rounds` or until no open task remains.
+//
+// One session engine runs every round. A pre-pass moves every user to its
+// round-start location (per-user mobility substreams) and draws dropout,
+// before any session. Round-granularity mechanisms then price once: users
+// plan against the frozen round prices on the worker pool and commit in
+// visit order. Intra-round mechanisms (updates_within_round()) differ in
+// one way only: in visit order, each surviving user's session is repriced,
+// gathered, solved and committed before the next one is priced.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -36,38 +45,39 @@ struct SimulatorParams {
   Round max_rounds = 15;
   Money platform_budget = 1000.0;  // B
   bool record_events = false;      // keep a full per-measurement trace
-  // Users act in a freshly shuffled order each round (only observable with
-  // mechanisms that reprice within a round); the shuffle derives from this
-  // seed, keeping campaigns bit-reproducible.
+  // Users act in a freshly shuffled order each round (visit_order() in
+  // sim/mobility.h; only observable with mechanisms that reprice within a
+  // round); the shuffle and the per-user mobility substreams derive from
+  // this seed, keeping campaigns bit-reproducible.
   std::uint64_t order_seed = 1;
   // Fault injection (sim/faults.h). The default plan injects nothing and
   // leaves the campaign bit-identical to a fault-free run; fault draws come
   // from their own hash-based stream (mixed from faults.seed and
   // order_seed), so they never perturb mobility or ordering draws.
   FaultPlan faults;
-  // Worker threads of the round-granularity session loop
+  // Worker threads of the session engine for round-granularity mechanisms
   // (updates_within_round() == false) when `shards` is 0. 1 = one worker
   // (default); 0 = one worker per hardware thread; n = exactly n. Prices
   // and the round task index are frozen at round start, so every user's
   // pre-pass, selection instance and plan can be computed concurrently and
   // committed in visit order — the campaign is bit-identical at any worker
-  // count (pinned against the serial one-user-at-a-time reference by the
-  // plan-, shard- and commit-equivalence suites, including under TSan).
-  // Intra-round mechanisms reprice between sessions and always run
-  // serially regardless of this knob. Requires the selector to support
-  // clone(); selectors without it run the same loop at one worker.
+  // count (pinned against the test-held serial oracle by the plan-, shard-
+  // and commit-equivalence suites, including under TSan). Intra-round
+  // mechanisms reprice between sessions and always run at one worker
+  // regardless of this knob. Requires the selector to support clone();
+  // selectors without it run the same loop at one worker.
   int plan_threads = 1;
-  // Worker count of the round-granularity session loop, overriding
-  // plan_threads when nonzero: n >= 1 = exactly n workers; kAutoShards =
-  // one worker per hardware thread; 0 (default) = plan_threads workers.
-  // It selects no code path: there is one round loop, which partitions
-  // users by the grid cell of their round-start location, runs mobility/
-  // dropout and the per-user planning over whole cells on the workers, and
-  // commits in visit order. Campaigns are bit-identical at any value.
-  // Mobility draws come from per-user hash-seeded substreams (a pure
-  // function of seed, round and position), so stochastic mobility also
-  // walks the same trajectory at any worker count. Intra-round mechanisms
-  // ignore this knob.
+  // Worker count of the session engine for round-granularity mechanisms,
+  // overriding plan_threads when nonzero: n >= 1 = exactly n workers;
+  // kAutoShards = one worker per hardware thread; 0 (default) =
+  // plan_threads workers. It selects no code path: the one engine
+  // partitions users by the grid cell of their round-start location, runs
+  // mobility/dropout and the per-user planning over whole cells on the
+  // workers, and commits in visit order. Campaigns are bit-identical at
+  // any value. Mobility draws come from per-user substreams
+  // (mobility_stream_seed), so stochastic mobility also walks the same
+  // trajectory at any worker count. Intra-round mechanisms run the same
+  // pre-pass at one worker and ignore this knob.
   int shards = 0;
   static constexpr int kAutoShards = -1;
   // Worker threads for the reprice phase: the mechanism's demand/level/
@@ -154,13 +164,6 @@ class Simulator {
                           std::unique_ptr<select::TaskSelector> selector,
                           std::unique_ptr<MobilityModel> mobility = nullptr);
 
-  /// The mobility draw stream's full state (the simulator's only sequential
-  /// RNG, drawn by the intra-round loop; the round-granularity loop seeds
-  /// per-user substreams, fault draws are stateless hashes and the
-  /// per-round visit shuffle re-derives its generator from order_seed and
-  /// the round number).
-  Rng::State mobility_rng_state() const { return mobility_rng_.state(); }
-
   /// Publish rewards for the upcoming round exactly as step() would and
   /// return the selection instance each user would face from its home —
   /// indexed by the user's position in world().users() — without
@@ -171,9 +174,13 @@ class Simulator {
   std::vector<select::SelectionInstance> peek_instances();
 
  private:
-  /// Glitch fault: clears open-set entries withdrawn from round k; returns
-  /// how many were withdrawn. No-op without faults.
-  int apply_withdrawals(std::vector<bool>& open, Round k) const;
+  /// The round-start publish shared by step() and peek_instances(): the
+  /// mechanism's update_rewards() for round k, the prices() table, the
+  /// open-task scan with the glitch withdrawals (their count goes to
+  /// `withdrawn`), the round task index (round_rows_, round_grid_) over
+  /// the open rows and, for sparse task ids, the id index the tour walks
+  /// read. Returns the published prices.
+  const std::vector<Money>& publish_round(Round k, int& withdrawn);
 
   /// The mechanism's current prices as a dense per-task-row table: its own
   /// reward_rows() when it publishes one, else a snapshot filled through the
@@ -188,10 +195,6 @@ class Simulator {
   /// of the world geometry, never of the worker count.
   Meters grid_cell_size() const;
 
-  /// Build the round task index (round_rows_, round_grid_) over the open
-  /// task rows. Once per round, after withdrawals.
-  void index_round_tasks(const std::vector<bool>& open);
-
   /// The candidate gather — the only way any loop builds a selection
   /// instance. Fills `inst` for the user at position `pos` starting from
   /// `start`: the indexed open tasks within the user's travel-distance
@@ -203,29 +206,23 @@ class Simulator {
               const std::vector<Money>& price, std::vector<std::int32_t>& hits,
               select::SelectionInstance& inst) const;
 
-  /// Serial session loop for intra-round mechanisms: mobility, dropout,
-  /// incremental reprice (dirty set = tasks the previous session touched),
-  /// plan and commit, one user at a time in visit order. Each session
-  /// commits as a one-user segment through the buffered pipeline.
-  /// Each session gathers at the live prices() of its reprice.
-  void run_sessions_intra_round(
-      Round k, const std::vector<bool>& open,
-      const std::vector<std::uint32_t>& visit_order, RoundMetrics& rm,
-      double& session_mean_sum, int& priced_sessions);
+  /// The session engine for round k. A pre-pass advances every user's
+  /// mobility (per-user substreams) and dropout and keys the user by the
+  /// grid cell of its round-start location. Round-granularity mechanisms
+  /// then run at round_worker_count() workers: sorting the keys buckets the
+  /// users by cell, workers plan contiguous runs of whole cells against the
+  /// frozen round state (one memo table per cell) and commit_sessions()
+  /// commits the whole visit order — bit-identical at any worker count.
+  /// Intra-round mechanisms run at one worker: in visit order, each
+  /// surviving user gets reprice(dirty) (dirty = the rows the previous
+  /// session delivered to), prices(), the session-mean record and the same
+  /// gather/solve step, then commits as a one-user slice. `price` is the
+  /// round-start prices() table.
+  void run_sessions(Round k, const std::vector<Money>& price,
+                    const std::vector<std::uint32_t>& visit_order,
+                    RoundMetrics& rm);
 
-  /// Session loop for round-granularity mechanisms, at
-  /// round_worker_count() workers: a pre-pass advances mobility (per-user
-  /// substreams) and dropout and keys every user by the grid cell of its
-  /// round-start location; sorting the keys buckets the users by cell;
-  /// workers plan contiguous runs of whole cells against the frozen round
-  /// state (one memo table per cell); the buffered pipeline commits in
-  /// visit order. Bit-identical at any worker count. `price` is the round's
-  /// frozen prices() table.
-  void run_sessions_batched(Round k, const std::vector<Money>& price,
-                            const std::vector<std::uint32_t>& visit_order,
-                            RoundMetrics& rm);
-
-  /// Worker count of the round-granularity loop: SimulatorParams::shards
+  /// Worker count of the round-granularity sessions: SimulatorParams::shards
   /// when nonzero (kAutoShards resolves to the hardware concurrency), else
   /// plan_threads.
   int round_worker_count() const;
@@ -239,17 +236,15 @@ class Simulator {
                  const std::vector<Money>& price, CommitSegment& seg,
                  RoundMetrics& rm);
 
-  /// Commit phases B and C over the walked segments: replay payments,
-  /// events and wasted travel in segment (= visit) order, then apply
-  /// deliveries grouped by task row. The touched rows are left in
-  /// commit_scratch_.dirty_row_list.
-  void merge_and_apply(Round k, RoundMetrics& rm);
-
-  /// Buffered batch commit: walk every surviving user's tour into
-  /// contiguous visit-order segments (fanned over the plan workers when
-  /// present), then merge_and_apply(). Bit-identical to committing the same
-  /// users one at a time in visit order, at any worker count.
-  void commit_sessions(Round k, const std::vector<std::uint32_t>& visit_order,
+  /// Buffered batch commit of the users in `order` (a slice of the visit
+  /// order): phase A walks every surviving user's tour into contiguous
+  /// segments of `order` (fanned over the plan workers when present);
+  /// phase B replays payments, events and wasted travel in segment (=
+  /// visit) order; phase C applies deliveries grouped by task row and
+  /// leaves the touched rows in commit_scratch_.dirty_row_list.
+  /// Bit-identical to committing the same users one at a time in order, at
+  /// any worker count.
+  void commit_sessions(Round k, std::span<const std::uint32_t> order,
                        const std::vector<char>& dropped,
                        const std::vector<select::Selection>& plans,
                        const std::vector<char>& feasible,
@@ -266,7 +261,6 @@ class Simulator {
   std::unique_ptr<select::TaskSelector> selector_;
   SimulatorParams params_;
   std::unique_ptr<MobilityModel> mobility_;
-  Rng mobility_rng_;
   FaultInjector faults_;
   incentive::BudgetTracker budget_;
   EventLog events_;
@@ -284,15 +278,15 @@ class Simulator {
   // Cross-user plan memo (params_.memo): the campaign's cumulative stats
   // and round count. The tables live in round_memos_.
   select::PlanMemo plan_memo_;
-  // Round task index (index_round_tasks): the open task rows, ascending,
+  // Round task index (publish_round): the open task rows, ascending,
   // their locations, and a frozen grid over those whose point ids index
   // round_rows_. All three are rebuilt in place every round.
   std::vector<std::uint32_t> round_rows_;
   std::vector<geo::Point> round_points_;
   geo::FrozenGrid round_grid_;
-  // Round-granularity loop state: one PlanMemo per worker (tables are per
-  // cell, stats harvested into plan_memo_ each round) plus persistent
-  // scratch so the steady state stays allocation-free.
+  // Session-engine state: one PlanMemo per worker (round-granularity only;
+  // tables are per cell, stats harvested into plan_memo_ each round) plus
+  // persistent scratch so the steady state stays allocation-free.
   std::vector<std::unique_ptr<select::PlanMemo>> round_memos_;
   std::vector<char> round_dropped_;         // per user position, per round
   std::vector<std::uint64_t> round_keys_;   // (cell << 32 | position), sorted

@@ -280,6 +280,35 @@ TEST(CheckpointResume, LegacyCommitPayloadResumesBitIdentical) {
   }
 }
 
+// A golden intra-round payload written before the serial mobility stream
+// was retired: steered, static homes, stress faults, events recorded,
+// checkpointed after round 3, carrying the old "mobility_rng" key.
+// Decoding ignores the key and re-encoding drops it. Static homes never
+// drew from that stream, so the resumed campaign is bit-identical to an
+// uninterrupted run of the one session engine.
+TEST(CheckpointResume, SteeredPayloadWithMobilityRngResumesBitIdentical) {
+  std::ifstream in(
+      std::string(MCS_TEST_DATA_DIR) + "/checkpoint_v1_steered.ckpt",
+      std::ios::binary);
+  ASSERT_TRUE(in.good());
+  const std::string bytes((std::istreambuf_iterator<char>(in)),
+                          std::istreambuf_iterator<char>());
+  const Json payload = Json::parse(bytes.substr(bytes.find('\n') + 1));
+  ASSERT_TRUE(payload.has("mobility_rng"));
+  ASSERT_EQ(payload.at("mechanism").as_string(), "steered");
+
+  const CampaignCheckpoint ckpt = decode_checkpoint(bytes);
+  EXPECT_EQ(ckpt.next_round, 4);
+  EXPECT_FALSE(checkpoint_to_json(ckpt).has("mobility_rng"));
+  Simulator s = Simulator::resume(
+      ckpt, fresh_mechanism(incentive::MechanismKind::kSteered),
+      select::make_selector(select::SelectorKind::kDp, 14));
+  s.run();
+  expect_bit_identical(
+      run_straight(incentive::MechanismKind::kSteered, true, 1, false),
+      finish(s));
+}
+
 TEST(CheckpointResume, MechanismNameMismatchRejected) {
   Simulator s = make_simulator(incentive::MechanismKind::kOnDemand, false, 1,
                                false);

@@ -83,7 +83,6 @@ TEST(CheckpointEnvelope, EncodeDecodeRoundTripIsIdentity) {
   // of dumps is equality of every field bit for bit.
   EXPECT_EQ(checkpoint_to_json(back).dump(), checkpoint_to_json(ckpt).dump());
   EXPECT_EQ(back.next_round, ckpt.next_round);
-  EXPECT_EQ(back.mobility_rng, ckpt.mobility_rng);
   EXPECT_EQ(back.history.size(), ckpt.history.size());
   EXPECT_EQ(back.events.size(), ckpt.events.size());
 }

@@ -7,8 +7,8 @@
 // any shard or plan-thread count. Runs under TSan in tier-1: phase A walks
 // and the phase C row apply are concurrent regions over the world's stores.
 //
-// The serial reference is the intra-round session loop at frozen prices
-// (serial_reference.h).
+// The serial reference is the test-held oracle of serial_reference.h: it
+// pays, records and delivers every leg the moment it is walked.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -44,7 +44,7 @@ struct RunKnobs {
   incentive::MechanismKind kind = incentive::MechanismKind::kOnDemand;
   select::SelectorKind selector = select::SelectorKind::kDp;
   bool faults = false;
-  bool serial_reference = false;  // run serial_reference::make_reference
+  bool serial_reference = false;  // run serial_reference::run_reference
   int shards = 0;
   int plan_threads = 1;
 };
@@ -72,14 +72,8 @@ CampaignRun run_world(model::World world,
                       const RunKnobs& k, Round max_rounds) {
   auto selector = select::make_selector(k.selector, 14);
   const SimulatorParams sp = make_params(k, max_rounds);
-  Simulator s = k.serial_reference
-                    ? serial_reference::make_reference(
-                          std::move(world), std::move(mechanism),
-                          std::move(selector), sp)
-                    : Simulator(std::move(world), std::move(mechanism),
-                                std::move(selector), sp);
-  s.run();
-  return serial_reference::finish(s);
+  return serial_reference::run(k.serial_reference, std::move(world),
+                               std::move(mechanism), std::move(selector), sp);
 }
 
 CampaignRun run_campaign(const RunKnobs& k) {

@@ -1,6 +1,6 @@
-// The round loop's plan-thread contract: a round-granularity campaign is
-// bit-identical to the serial one-user-at-a-time reference
-// (serial_reference.h) at any plan-thread count, including for selectors
+// The session engine's plan-thread contract: a campaign is bit-identical
+// to the serial one-user-at-a-time oracle (serial_reference.h) at any
+// plan-thread count, including for selectors
 // without clone(), and steered's incremental intra-round repricing matches
 // a full per-session recompute. These suites run under TSan in tier-1 (the
 // pre-pass, plan and commit walk are the concurrent regions touching the
@@ -39,10 +39,9 @@ sim::FaultPlan stress_faults() {
 
 using sim::serial_reference::CampaignRun;
 using sim::serial_reference::expect_bit_identical;
-using sim::serial_reference::expect_same_campaign;
 
-// plan_threads = kSerialReference runs the campaign through
-// serial_reference::make_reference instead.
+// plan_threads = kSerialReference runs the campaign through the serial
+// oracle instead.
 constexpr int kSerialReference = -1;
 
 CampaignRun run_campaign(incentive::MechanismKind kind, bool faults,
@@ -67,15 +66,9 @@ CampaignRun run_campaign(incentive::MechanismKind kind, bool faults,
   sp.reprice_threads = reprice_threads;
   sp.record_events = true;
   if (faults) sp.faults = stress_faults();
-  sim::Simulator s =
-      plan_threads == kSerialReference
-          ? sim::serial_reference::make_reference(
-                std::move(world), std::move(mechanism), std::move(selector),
-                sp)
-          : sim::Simulator(std::move(world), std::move(mechanism),
-                           std::move(selector), sp);
-  s.run();
-  return sim::serial_reference::finish(s);
+  return sim::serial_reference::run(plan_threads == kSerialReference,
+                                    std::move(world), std::move(mechanism),
+                                    std::move(selector), sp);
 }
 
 // The adaptive-budget mechanism is not a MechanismKind (it is our
@@ -88,9 +81,8 @@ std::unique_ptr<incentive::IncentiveMechanism> make_adaptive() {
 }
 
 // {fixed, on-demand, steered} x {no faults, faulted} x plan threads {1, 2,
-// 8} against the serial reference. Steered is intra-round (the knob is a
-// documented no-op there, and its reference is itself at one thread) and
-// pins exactly that.
+// 8} against the serial oracle. Steered is intra-round (the knob is a
+// documented no-op there) and pins exactly that.
 TEST(PlanEquivalence, SerialAndParallelCampaignsBitIdentical) {
   for (const auto kind :
        {incentive::MechanismKind::kFixed, incentive::MechanismKind::kOnDemand,
@@ -167,14 +159,9 @@ TEST(PlanEquivalence, SelectorWithoutCloneFallsBackToSerial) {
     sp.max_rounds = 5;
     sp.plan_threads = plan_threads;
     sp.shards = shards;
-    sim::Simulator s =
-        plan_threads == kSerialReference
-            ? sim::serial_reference::make_reference(
-                  std::move(world), std::move(mech), std::move(selector), sp)
-            : sim::Simulator(std::move(world), std::move(mech),
-                             std::move(selector), sp);
-    s.run();
-    return sim::serial_reference::finish(s);
+    return sim::serial_reference::run(plan_threads == kSerialReference,
+                                      std::move(world), std::move(mech),
+                                      std::move(selector), sp);
   };
   const CampaignRun reference = run(kSerialReference, 0);
   EXPECT_GT(reference.spent, 0.0);
@@ -252,7 +239,7 @@ TEST(RepriceEquivalence, CampaignsBitIdenticalAtAnyWorkerCount) {
         SCOPED_TRACE(std::string(incentive::mechanism_name(kind)) +
                      (faults ? "/faults" : "/clean") + "/reprice_threads=" +
                      std::to_string(workers));
-        expect_same_campaign(serial,
+        expect_bit_identical(serial,
                              run_campaign(kind, faults, 1, nullptr, workers));
       }
     }
@@ -262,7 +249,7 @@ TEST(RepriceEquivalence, CampaignsBitIdenticalAtAnyWorkerCount) {
       SCOPED_TRACE(std::string("on-demand-adaptive") +
                    (faults ? "/faults" : "/clean") + "/reprice_threads=" +
                    std::to_string(workers));
-      expect_same_campaign(serial,
+      expect_bit_identical(serial,
                            run_campaign(incentive::MechanismKind::kOnDemand,
                                         faults, 1, make_adaptive(), workers));
     }
@@ -278,7 +265,7 @@ TEST(RepriceEquivalence, SteeredIncrementalMatchesFullRecompute) {
     const CampaignRun full = run_campaign(
         incentive::MechanismKind::kSteered, faults, 1,
         std::make_unique<FullRepriceSteered>(0.5, 10.0, 0.2));
-    expect_same_campaign(incremental, full);
+    expect_bit_identical(incremental, full);
   }
 }
 

@@ -1,5 +1,5 @@
 // The plan-memo contract (SimulatorParams::memo): a memoized campaign is
-// bit-identical to the memo-free serial reference (serial_reference.h) —
+// bit-identical to the memo-free serial oracle (serial_reference.h) —
 // for every mechanism granularity, with and without faults, at any
 // plan-thread count — and the hit/miss
 // accounting is deterministic across thread counts. The dense-POI scenario
@@ -47,7 +47,7 @@ struct RunSpec {
   int plan_threads = 1;
   bool memo = false;
   bool dense = false;  // shared-POI homes + quantized budgets
-  bool serial_reference = false;  // run serial_reference::make_reference
+  bool serial_reference = false;  // run serial_reference::run_reference
 };
 
 CampaignRun run_campaign(const RunSpec& spec) {
@@ -71,14 +71,14 @@ CampaignRun run_campaign(const RunSpec& spec) {
   sp.plan_threads = spec.plan_threads;
   sp.memo.enabled = spec.memo;
   if (spec.faults) sp.faults = stress_faults();
-  sim::Simulator s =
-      spec.serial_reference
-          ? sim::serial_reference::make_reference(
-                std::move(world), std::move(mechanism), std::move(selector),
-                sp)
-          : sim::Simulator(std::move(world), std::move(mechanism),
-                           std::move(selector), sp);
   CampaignRun out;
+  if (spec.serial_reference) {
+    out.run = sim::serial_reference::run_reference(
+        std::move(world), std::move(mechanism), std::move(selector), sp);
+    return out;
+  }
+  sim::Simulator s(std::move(world), std::move(mechanism),
+                   std::move(selector), sp);
   out.summary = s.run();
   out.run = sim::serial_reference::finish(s);
   out.memo = s.plan_memo_stats();

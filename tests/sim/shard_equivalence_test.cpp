@@ -1,11 +1,12 @@
-// The round loop's worker-count contract (SimulatorParams::shards): a
-// round-granularity campaign is bit-identical at any shard count — and, for
-// static or commute mobility with the shipped DP/greedy selectors,
-// bit-identical to the serial one-user-at-a-time reference
-// (serial_reference.h) too. Runs under TSan in tier-1: the pre-pass and
-// plan phase are concurrent regions over the world's stores.
+// The session engine's worker-count contract (SimulatorParams::shards): a
+// round-granularity campaign is bit-identical at any shard count and to the
+// serial one-user-at-a-time oracle (serial_reference.h) — under every
+// mobility model, with the shipped DP/greedy selectors — and intra-round
+// campaigns equal the oracle too. Runs under TSan in tier-1: the pre-pass
+// and plan phase are concurrent regions over the world's stores.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <memory>
 #include <optional>
 #include <string>
@@ -42,7 +43,6 @@ struct RunKnobs {
   bool faults = false;
   bool memo = false;
   int shards = 0;
-  bool serial_reference = false;  // run serial_reference::make_reference
   MobilityKind mobility = MobilityKind::kStaticHome;
   // Dense home sites + budget quantum give the memo real equivalence
   // classes when enabled.
@@ -61,41 +61,51 @@ ScenarioParams scenario(const RunKnobs& k) {
 }
 
 using serial_reference::CampaignRun;
+using serial_reference::expect_bit_identical;
 using serial_reference::finish;
 
-Simulator make_simulator(const RunKnobs& k) {
+// Everything a campaign is built from.
+struct Inputs {
+  model::World world;
+  std::unique_ptr<incentive::IncentiveMechanism> mechanism;
+  std::unique_ptr<select::TaskSelector> selector;
+  SimulatorParams sp;
+  std::unique_ptr<MobilityModel> mobility;
+};
+
+Inputs make_inputs(const RunKnobs& k) {
   Rng rng(4242);
   model::World world = generate_world(scenario(k), rng);
   Rng mech_rng = rng.split(0xfeed);
   auto mechanism = incentive::make_mechanism(k.kind, world, {}, mech_rng);
-  auto selector = select::make_selector(k.selector, 14);
   SimulatorParams sp;
   sp.max_rounds = 8;
   sp.shards = k.shards;
   sp.memo.enabled = k.memo;
   if (k.faults) sp.faults = stress_faults();
-  auto mobility = make_mobility(k.mobility, /*drift_sigma=*/150.0);
-  if (k.serial_reference) {
-    return serial_reference::make_reference(
-        std::move(world), std::move(mechanism), std::move(selector), sp,
-        std::move(mobility));
-  }
-  return Simulator(std::move(world), std::move(mechanism),
-                   std::move(selector), sp, std::move(mobility));
+  return {std::move(world), std::move(mechanism),
+          select::make_selector(k.selector, 14), sp,
+          make_mobility(k.mobility, /*drift_sigma=*/150.0)};
 }
 
-CampaignRun run_campaign(RunKnobs k) {
+Simulator make_simulator(const RunKnobs& k) {
+  Inputs in = make_inputs(k);
+  return Simulator(std::move(in.world), std::move(in.mechanism),
+                   std::move(in.selector), in.sp, std::move(in.mobility));
+}
+
+CampaignRun run_campaign(const RunKnobs& k) {
   Simulator s = make_simulator(k);
   s.run();
   return finish(s);
 }
 
-CampaignRun serial_run(RunKnobs k) {
-  k.serial_reference = true;
-  return run_campaign(k);
+CampaignRun serial_run(const RunKnobs& k) {
+  Inputs in = make_inputs(k);
+  return serial_reference::run_reference(
+      std::move(in.world), std::move(in.mechanism), std::move(in.selector),
+      in.sp, std::move(in.mobility));
 }
-
-using serial_reference::expect_bit_identical;
 
 // The memo counters a campaign must report: `{exact_hits, fixup_hits,
 // misses, fallbacks, rounds}`.
@@ -116,9 +126,9 @@ void expect_same_memo_stats(const CampaignRun& a, const CampaignRun& b) {
 }
 
 // {fixed, on-demand, steered} x {clean, faulted} x shards {0, 1, 2, 8,
-// auto} against the serial reference, DP selector, static-home mobility.
-// Steered is intra-round (the knob is a documented no-op there, and its
-// reference is itself at one worker) and pins exactly that.
+// auto} against the serial oracle, DP selector, static-home mobility.
+// Steered is intra-round (the knob is a documented no-op there) and pins
+// exactly that.
 TEST(ShardEquivalence, ShardCountsMatchLegacyLoopBitIdentical) {
   for (const auto kind :
        {incentive::MechanismKind::kFixed, incentive::MechanismKind::kOnDemand,
@@ -161,23 +171,24 @@ TEST(ShardEquivalence, GreedySelectorShardedMatchesLegacy) {
 // Memo on: the per-cell tables depend only on the world geometry (cell
 // partition) and per-cell position order, never on the worker count — so
 // plans AND hit/miss accounting are shard-count-invariant. The trajectory
-// also matches the memo-free serial reference (the memo is proof-gated).
-// The counters are pinned to the values the counting-sort (CSR) bucketing
-// produced before the key sort replaced it: the same cells, each walked in
-// ascending position.
+// also matches the memo-free serial oracle (the memo is proof-gated).
+// A fine budget quantum over six shared home sites yields every outcome —
+// exact hits, empty-tour fix-ups and fallbacks — so the pinned counters
+// also pin the walk order within each cell (ascending position): walking a
+// cell in any other order changes which user owns a class.
 TEST(ShardEquivalence, MemoShardCountInvariantIncludingStats) {
   RunKnobs k;
   k.memo = true;
   k.home_sites = 6;
-  k.budget_quantum = 300.0;
+  k.budget_quantum = 20.0;
   k.shards = 1;
   const CampaignRun one = run_campaign(k);
-  expect_memo_stats(one, {192, 0, 48, 0, 8});
+  expect_memo_stats(one, {50, 20, 170, 8, 8});
   for (const int shards : {0, 2, 8}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     k.shards = shards;
     const CampaignRun many = run_campaign(k);
-    serial_reference::expect_same_campaign(one, many);
+    expect_bit_identical(one, many);
     expect_same_memo_stats(one, many);
   }
   expect_bit_identical(serial_run(k), one);
@@ -237,15 +248,14 @@ TEST(ShardEquivalence, UnevenCellPartitionKeepsPlansAndMemoStats) {
   for (const int workers : {2, 3, 8}) {
     SCOPED_TRACE("workers=" + std::to_string(workers));
     const CampaignRun many = run(workers);
-    serial_reference::expect_same_campaign(one, many);
+    expect_bit_identical(one, many);
     expect_same_memo_stats(one, many);
   }
 }
 
-// Stochastic mobility draws per-user substreams (a different trajectory
-// from the serial reference's draw stream, by design), but the substreams
-// are pure functions of (seed, round, position): any two shard counts walk
-// the exact same campaign.
+// Stochastic mobility draws per-user substreams, pure functions of (seed,
+// round, position): at any worker count the round loop walks the exact
+// campaign the serial oracle walks.
 TEST(ShardEquivalence, StochasticMobilityShardCountInvariant) {
   for (const auto mobility :
        {MobilityKind::kGaussianDrift, MobilityKind::kRandomWaypoint}) {
@@ -253,19 +263,41 @@ TEST(ShardEquivalence, StochasticMobilityShardCountInvariant) {
     RunKnobs k;
     k.mobility = mobility;
     k.faults = true;
-    k.shards = 1;
-    const CampaignRun one = run_campaign(k);
-    for (const int shards : {0, 8}) {
+    const CampaignRun reference = serial_run(k);
+    for (const int shards : {1, 4, 8}) {
       SCOPED_TRACE("shards=" + std::to_string(shards));
       k.shards = shards;
-      serial_reference::expect_same_campaign(one, run_campaign(k));
+      expect_bit_identical(reference, run_campaign(k));
     }
   }
 }
 
-// Commute mobility is deterministic (no draws), so the round loop must
-// also match the serial reference exactly — the substream seeding is
-// bit-invisible.
+// Intra-round campaigns run the same pre-pass: every user moves (from its
+// own substream) and draws dropout before the first session, then each
+// session is repriced, planned and committed in visit order. Steered with
+// faults under every mobility model equals the serial oracle, whatever the
+// (ignored) worker count.
+TEST(ShardEquivalence, SteeredMatchesReferenceUnderEveryMobility) {
+  for (const auto mobility :
+       {MobilityKind::kStaticHome, MobilityKind::kRandomWaypoint,
+        MobilityKind::kGaussianDrift, MobilityKind::kCommute}) {
+    SCOPED_TRACE(mobility_name(mobility));
+    RunKnobs k;
+    k.kind = incentive::MechanismKind::kSteered;
+    k.mobility = mobility;
+    k.faults = true;
+    const CampaignRun reference = serial_run(k);
+    EXPECT_GT(reference.spent, 0.0);
+    for (const int shards : {0, 4}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      k.shards = shards;
+      expect_bit_identical(reference, run_campaign(k));
+    }
+  }
+}
+
+// Commute mobility is deterministic (no draws) and must match the serial
+// oracle exactly as well.
 TEST(ShardEquivalence, CommuteMobilityShardedMatchesLegacy) {
   RunKnobs k;
   k.mobility = MobilityKind::kCommute;
@@ -300,17 +332,49 @@ TEST(ShardEquivalence, SparseUserIdsShardedMatchesLegacy) {
     SimulatorParams sp;
     sp.max_rounds = 4;
     sp.shards = shards;
-    Simulator s = reference ? serial_reference::make_reference(
-                                  std::move(world), std::move(mech),
-                                  std::move(selector), sp)
-                            : Simulator(std::move(world), std::move(mech),
-                                        std::move(selector), sp);
-    s.run();
-    return finish(s);
+    return serial_reference::run(reference, std::move(world), std::move(mech),
+                                 std::move(selector), sp);
   };
   const CampaignRun reference = run(0, true);
   EXPECT_GT(reference.spent, 0.0);
   for (const int shards : {0, 1, 2, 8}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    expect_bit_identical(reference, run(shards, false));
+  }
+}
+
+// A task exactly at the edge of a user's reach: 300^2 + 230^2 = 142900 is
+// exact, the user's reach is r = fl(sqrt(142900)) and fl(r * r) < 142900,
+// so a squared-distance grid query at radius r misses a task the exact
+// reach predicate keeps. The gather's inflated query must collect it at
+// every worker count, exactly as the oracle's brute-force scan does.
+TEST(ShardEquivalence, ReachBoundaryTaskMatchesReference) {
+  const double reach = std::sqrt(300.0 * 300.0 + 230.0 * 230.0);
+  ASSERT_LT(reach * reach, 142900.0);
+  const auto run = [reach](int shards, bool reference) {
+    model::World world(geo::BoundingBox::square(3000.0),
+                       geo::TravelModel{2.0, 0.002}, 500.0);
+    world.add_task({1300.0, 1230.0}, /*deadline=*/5, /*required=*/2);
+    world.add_task({2500.0, 2500.0}, 5, 2);
+    world.add_user({1000.0, 1000.0}, /*time_budget=*/reach / 2.0);
+    world.add_user({2400.0, 2400.0}, 300.0);
+    world.add_user({1500.0, 1400.0}, 300.0);
+    Rng mech_rng(1);
+    auto mech = incentive::make_mechanism(incentive::MechanismKind::kOnDemand,
+                                          world, {}, mech_rng);
+    SimulatorParams sp;
+    sp.max_rounds = 3;
+    sp.shards = shards;
+    sp.record_events = true;
+    auto selector = select::make_selector(select::SelectorKind::kDp, 14);
+    return serial_reference::run(reference, std::move(world), std::move(mech),
+                                 std::move(selector), sp);
+  };
+  const CampaignRun reference = run(0, true);
+  // The boundary user delivers in round 1.
+  EXPECT_NE(reference.events_json.find("\"round\":1,\"task\":0,\"user\":0"),
+            std::string::npos);
+  for (const int shards : {0, 1, 4}) {
     SCOPED_TRACE("shards=" + std::to_string(shards));
     expect_bit_identical(reference, run(shards, false));
   }
@@ -381,13 +445,8 @@ TEST(ShardEquivalence, SelectorWithoutCloneFallsBackToLegacyLoop) {
     SimulatorParams sp;
     sp.max_rounds = 5;
     sp.shards = shards;
-    Simulator s = reference ? serial_reference::make_reference(
-                                  std::move(world), std::move(mech),
-                                  std::move(selector), sp)
-                            : Simulator(std::move(world), std::move(mech),
-                                        std::move(selector), sp);
-    s.run();
-    return finish(s);
+    return serial_reference::run(reference, std::move(world), std::move(mech),
+                                 std::move(selector), sp);
   };
   const CampaignRun reference = run(0, true);
   EXPECT_GT(reference.spent, 0.0);
@@ -431,7 +490,7 @@ TEST(ShardEquivalence, CheckpointResumeMidCampaignSharded) {
     }
   }
   const CampaignRun resumed = finish(*s);
-  serial_reference::expect_same_campaign(straight, resumed);
+  expect_bit_identical(straight, resumed);
   expect_same_memo_stats(straight, resumed);
 }
 
