@@ -1,9 +1,9 @@
 // End-to-end campaign throughput: how many full simulated campaigns per
 // second the engine sustains, per selector. Unlike bench_selector_scaling
 // (isolated solver calls on synthetic instances) this drives the whole
-// per-round pipeline — mechanism repricing, the shared per-round candidate
-// pool, selection, tour execution, metrics — exactly as experiments do, so
-// it is the number that predicts sweep wall-clock.
+// per-round pipeline — mechanism repricing, the per-user candidate gather
+// from the round's task grid, selection, tour execution, metrics — exactly
+// as experiments do, so it is the number that predicts sweep wall-clock.
 //
 // Methodology: each benchmark iteration runs a fixed panel of
 // kCampaignsPerIter campaigns whose seeds depend only on the panel slot, so

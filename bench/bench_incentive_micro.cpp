@@ -1,7 +1,7 @@
 // Microbenchmarks for the platform-side per-round work: AHP weight
 // extraction, demand evaluation over a full world, neighbor counting via
-// the spatial grid (lazy reads and the round-start recount), repricing,
-// and a whole simulated round.
+// the spatial grid (lazy reads and the round-start recount), the per-round
+// on-demand pricing sweep, and a whole simulated round.
 #include <benchmark/benchmark.h>
 
 #include <atomic>
@@ -121,80 +121,6 @@ void BM_UpdateRewardsSteadyState(benchmark::State& state) {
                                                 static_cast<double>(iters);
 }
 
-// Intra-round incremental repricing: one dirty task against the full-scan
-// alternative (BM_UpdateRewardsSteadyState above is exactly that scan).
-void BM_RepriceDirtySession(benchmark::State& state) {
-  sim::ScenarioParams params;
-  params.num_tasks = static_cast<int>(state.range(0));
-  params.num_users = 100;
-  Rng rng(7);
-  model::World world = sim::generate_world(params, rng);
-  const incentive::RewardRule rule = incentive::RewardRule::from_budget(
-      2.5 * static_cast<double>(world.total_required()),
-      world.total_required(), 0.5, 5);
-  incentive::OnDemandMechanism mech(
-      incentive::DemandIndicator::with_paper_defaults(),
-      incentive::DemandLevelScale(5), rule);
-  mech.update_rewards(world, 1);
-  const std::vector<std::size_t> dirty = {0};
-  for (auto _ : state) {
-    mech.reprice(world, 1, dirty);
-    benchmark::DoNotOptimize(mech.rewards().data());
-  }
-}
-
-// The reprice fast path under the O(dirty) contract: one dirty task and
-// one walking user per iteration against task-set sizes 20/100/500. The
-// counters are the regression gate tier1.sh greps: repriced_per_iter must
-// stay at the dirty width (1.00 here — the walker is outside every
-// neighbor disc, so the journal stays empty; a fallback would read
-// ~#tasks) and allocs_per_iter must read 0.00 once warm (no snapshot
-// vectors, no O(n) count-diff scans).
-void BM_RepriceFastPath(benchmark::State& state) {
-  sim::ScenarioParams params;
-  params.num_tasks = static_cast<int>(state.range(0));
-  params.num_users = 100;
-  Rng rng(7);
-  model::World world = sim::generate_world(params, rng);
-  const incentive::RewardRule rule = incentive::RewardRule::from_budget(
-      2.5 * static_cast<double>(world.total_required()),
-      world.total_required(), 0.5, 5);
-  incentive::OnDemandMechanism mech(
-      incentive::DemandIndicator::with_paper_defaults(),
-      incentive::DemandLevelScale(5), rule);
-  mech.update_rewards(world, 1);
-  // A user far from every task (the grid clamps out-of-bounds points into
-  // border cells; distances stay exact): walking it touches no neighbor
-  // disc, so the journal stays empty and Nmax is untouched — but the walk
-  // still exercises the delta-sync machinery every iteration.
-  world.add_user({-2000.0, -2000.0}, 600.0);
-  (void)world.neighbor_counts();  // absorb the rebuild the new user forces
-  mech.update_rewards(world, 1);  // re-baseline after the rebuild
-  const std::vector<std::size_t> dirty = {0};
-  const std::size_t walker = world.num_users() - 1;
-  double flip = 0.0;
-  mech.reprice(world, 1, dirty);  // warm the fast path once
-  const std::uint64_t before = g_new_calls.load(std::memory_order_relaxed);
-  std::uint64_t iters = 0;
-  std::uint64_t repriced = 0;
-  for (auto _ : state) {
-    flip = 1.0 - flip;
-    world.users()[walker].set_location({-2000.0 - flip, -2000.0});
-    mech.reprice(world, 1, dirty);
-    benchmark::DoNotOptimize(mech.rewards().data());
-    repriced += mech.last_reprice_touched();
-    ++iters;
-  }
-  const std::uint64_t after = g_new_calls.load(std::memory_order_relaxed);
-  state.counters["allocs_per_iter"] =
-      iters == 0 ? 0.0
-                 : static_cast<double>(after - before) /
-                       static_cast<double>(iters);
-  state.counters["repriced_per_iter"] =
-      iters == 0 ? 0.0
-                 : static_cast<double>(repriced) / static_cast<double>(iters);
-}
-
 // The round-start neighbor recount: every user moved since the last
 // refresh (as after a round of tours), so refresh_neighbor_cache() takes
 // the recount side of its cost model at 1 and at 4 workers. The counters
@@ -221,16 +147,15 @@ void BM_NeighborRecountSteadyState(benchmark::State& state) {
   world.refresh_neighbor_cache(&pool, workers);  // first use: full rebuild
   move_everyone();
   world.refresh_neighbor_cache(&pool, workers);  // warm the recount path
-  (void)world.take_neighbor_changes();
   const std::uint64_t before = g_new_calls.load(std::memory_order_relaxed);
+  const std::uint64_t recounts_before = world.neighbor_recounts();
   std::uint64_t iters = 0;
-  std::uint64_t recounts = 0;
   for (auto _ : state) {
     move_everyone();
     world.refresh_neighbor_cache(&pool, workers);
-    recounts += world.take_neighbor_changes().rebuilt ? 1 : 0;
     ++iters;
   }
+  const std::uint64_t recounts = world.neighbor_recounts() - recounts_before;
   const std::uint64_t after = g_new_calls.load(std::memory_order_relaxed);
   state.counters["allocs_per_iter"] =
       iters == 0 ? 0.0
@@ -265,7 +190,5 @@ BENCHMARK(BM_AhpEigenvector)->Arg(3)->Arg(8)->Arg(15);
 BENCHMARK(BM_DemandEvaluation)->Arg(20)->Arg(100)->Arg(500);
 BENCHMARK(BM_NeighborCounts)->Arg(40)->Arg(140)->Arg(1000);
 BENCHMARK(BM_UpdateRewardsSteadyState)->Arg(20)->Arg(100)->Arg(500);
-BENCHMARK(BM_RepriceDirtySession)->Arg(20)->Arg(100)->Arg(500);
-BENCHMARK(BM_RepriceFastPath)->Arg(20)->Arg(100)->Arg(500);
 BENCHMARK(BM_NeighborRecountSteadyState)->Arg(1)->Arg(4)->UseRealTime();
 BENCHMARK(BM_FullRound)->Arg(40)->Arg(100)->Arg(140);

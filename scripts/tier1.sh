@@ -125,9 +125,12 @@ else
   # under-collects, which must hold under -O3 too. CommitEquivalence: the
   # batch commit's merge replays payments and deliveries in the order the
   # serial one-user-at-a-time reference commits them — bit-identity that
-  # must survive -O3 exactly like the others.
+  # must survive -O3 exactly like the others. DemandIndicator/DemandLevel:
+  # their bit-exact sweep tests are the one pin of the mechanisms' fused
+  # column sweep (demand_from_fields) against the per-task demand() and
+  # levels_for() oracles.
   ctest --test-dir build-release --output-on-failure -j "${JOBS}" \
-    -R 'DpEquivalence|PruneCandidatesInto|SolverEquivalence|DpSelector|PlanEquivalence|PlanMemo|RepriceEquivalence|OnDemandReprice|SteeredReprice|NeighborCache|BudgetTracker|CheckpointResume|CheckpointEnvelope|ShardEquivalence|CommitEquivalence|FrozenGrid'
+    -R 'DpEquivalence|PruneCandidatesInto|SolverEquivalence|DpSelector|PlanEquivalence|PlanMemo|RepriceEquivalence|OnDemandReprice|SteeredReprice|DemandIndicator|DemandLevel\.|DemandLevelProperty|NeighborCache|BudgetTracker|CheckpointResume|CheckpointEnvelope|ShardEquivalence|CommitEquivalence|FrozenGrid'
   ./build-release/bench/bench_selector_scaling --benchmark_min_time=0.01 \
     --benchmark_filter='BM_DpSelector/14|BM_GreedySelector/14' >/dev/null
   # The 100k-user round-loop run (shards=1: buffered commit on one worker) and
@@ -148,20 +151,6 @@ else
   echo "${ALLOC_OUT}" | tail -n 1
   if ! grep -Eq 'allocs_per_iter=0($|[^.0-9])' <<<"${ALLOC_OUT}"; then
     echo "tier1: BM_UpdateRewardsSteadyState allocates in steady state" >&2
-    exit 1
-  fi
-  # The reprice fast path must do no O(n) work: with one dirty task and an
-  # empty journal it reprices exactly 1 position (a fallback would read
-  # ~#tasks) and touches the heap zero times per iteration.
-  REPRICE_OUT="$(./build-release/bench/bench_incentive_micro --benchmark_min_time=0.01 \
-    --benchmark_filter='BM_RepriceFastPath/100')"
-  echo "${REPRICE_OUT}" | tail -n 1
-  if ! grep -Eq 'repriced_per_iter=1($|[^.0-9])' <<<"${REPRICE_OUT}"; then
-    echo "tier1: BM_RepriceFastPath repriced more than the dirty set" >&2
-    exit 1
-  fi
-  if ! grep -Eq 'allocs_per_iter=0($|[^.0-9])' <<<"${REPRICE_OUT}"; then
-    echo "tier1: BM_RepriceFastPath allocates in steady state" >&2
     exit 1
   fi
   # The round-start neighbor recount (every user moved) must stay off the

@@ -58,17 +58,14 @@ void AdaptiveBudgetMechanism::update_rewards(const model::World& world,
   r0 = std::clamp(r0, initial_r0_, initial_r0_ * r0_cap_factor_);
   rule_ = std::make_unique<RewardRule>(r0, lambda_, scale_.levels());
 
-  // Consume the journal for the synced counts and running Nmax (this
-  // mechanism is its world's single pricing consumer, and it recomputes in
-  // full every round, so taking — rather than peeking — is correct). Then
-  // one fused demand/level/reward sweep over the store columns, fanned over
+  // One fused demand/level/reward sweep over the store columns, fanned over
   // the reprice pool in disjoint task-row ranges: each row writes only its
   // own slots, so any worker count is bit-identical. last_demands_ and
   // last_levels_ are scratch (recomputed every round, never read across
   // rounds), hence not part of the checkpoint state.
-  const model::World::NeighborDelta delta = world.take_neighbor_changes();
-  const std::vector<int>& counts = *delta.counts;
+  const std::vector<int>& counts = world.neighbor_counts();
   MCS_CHECK(counts.size() == n, "one neighbor count per task");
+  const int nmax = max_neighbors(counts);
   last_demands_.resize(n);
   last_levels_.resize(n);
   rewards_.resize(n);
@@ -79,8 +76,7 @@ void AdaptiveBudgetMechanism::update_rewards(const model::World& world,
         for (std::size_t i = lo; i < hi; ++i) {
           const int received = static_cast<int>(ts.measurements[i].size());
           const double d = indicator_.normalize(indicator_.demand_from_fields(
-              ts.deadline[i], ts.required[i], received, k, counts[i],
-              delta.max_count));
+              ts.deadline[i], ts.required[i], received, k, counts[i], nmax));
           last_demands_[i] = d;
           last_levels_[i] = scale_.level(d);
           // Affordability guard: stop publishing rewards the remaining

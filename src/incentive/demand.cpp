@@ -1,11 +1,9 @@
 #include "incentive/demand.h"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 
 namespace mcs::incentive {
 
@@ -26,6 +24,13 @@ double progress_factor(int received, int required, double lambda2) {
   const double progress =
       std::min(1.0, static_cast<double>(received) / required);
   return lambda2 * std::log(1.0 + (1.0 - progress));
+}
+
+int max_neighbors(const std::vector<int>& neighbor_counts) {
+  return neighbor_counts.empty()
+             ? 0
+             : *std::max_element(neighbor_counts.begin(),
+                                 neighbor_counts.end());
 }
 
 double neighbor_factor(int neighbors, int max_neighbors, double lambda3) {
@@ -88,92 +93,27 @@ double DemandIndicator::demand(const model::Task& task, Round k, int neighbors,
 
 std::vector<double> DemandIndicator::demands(const model::World& world,
                                              Round k) const {
-  // neighbor_counts() is one entry per task *position*; index by position
-  // (task ids need not be dense or equal to their vector index). The cache
-  // maintains the running max alongside the counts, so no Nmax scan here.
-  const std::vector<int>& counts = world.neighbor_counts();
-  std::vector<double> out;
-  demands_into(world, k, counts, world.neighbor_max_count(), out);
-  return out;
+  return demands(world, k, world.neighbor_counts());
 }
 
 std::vector<double> DemandIndicator::demands(
     const model::World& world, Round k,
     const std::vector<int>& neighbor_counts) const {
-  std::vector<double> out;
-  demands_into(world, k, neighbor_counts, out);
-  return out;
-}
-
-void DemandIndicator::demands_into(const model::World& world, Round k,
-                                   const std::vector<int>& neighbor_counts,
-                                   std::vector<double>& out) const {
-  // Standalone-caller fallback: the counts need not come from the world's
-  // neighbor cache, so Nmax is derived from them by scanning.
-  demands_into(world, k, neighbor_counts, kScanForMax, out);
-}
-
-void DemandIndicator::demands_into(const model::World& world, Round k,
-                                   const std::vector<int>& neighbor_counts,
-                                   int max_neighbors, std::vector<double>& out,
-                                   ThreadPool* pool, int workers) const {
-  sweep_into(world, k, neighbor_counts, max_neighbors, /*normalized=*/false,
-             out, pool, workers);
-}
-
-int DemandIndicator::max_count_over(const std::vector<int>& counts,
-                                    ThreadPool* pool, int workers) {
-  if (counts.empty()) return 0;
-  // Two-pass deterministic reduction: each range folds into its own fixed
-  // slot, then the slots fold serially — integer max is associative, so any
-  // partition (including the single serial range) yields the same Nmax.
-  // Slots start at the identity 0 (counts are non-negative by contract)
-  // because the serial path delivers everything as range 0.
-  constexpr int kMaxRanges = 64;
-  const int w = std::clamp(workers, 1, kMaxRanges);
-  std::array<int, kMaxRanges> range_max;
-  range_max.fill(0);
-  parallel_ranges(pool, w, counts.size(),
-                  [&](std::size_t s, std::size_t lo, std::size_t hi) {
-                    int m = 0;
-                    for (std::size_t i = lo; i < hi; ++i) {
-                      m = std::max(m, counts[i]);
-                    }
-                    range_max[s] = m;
-                  });
-  int m = 0;
-  for (int s = 0; s < w; ++s) m = std::max(m, range_max[s]);
-  return m;
-}
-
-void DemandIndicator::sweep_into(const model::World& world, Round k,
-                                 const std::vector<int>& neighbor_counts,
-                                 int max_neighbors, bool normalized,
-                                 std::vector<double>& out, ThreadPool* pool,
-                                 int workers) const {
+  // neighbor_counts is one entry per task *position*; index by position
+  // (task ids need not be dense or equal to their vector index). One sweep
+  // over the store columns: deadline/required stream as packed lines and
+  // only the measurement-vector size is read per task.
   MCS_CHECK(neighbor_counts.size() == world.num_tasks(),
             "one neighbor count per task");
-  if (max_neighbors < 0) {
-    max_neighbors = max_count_over(neighbor_counts, pool, workers);
-  }
-  // One cache-friendly sweep over the store columns instead of a Task view
-  // per row: deadline/required stream as packed lines, and only the
-  // measurement-vector size is read per task. Identical expression to
-  // demand() by construction (shared demand_from_fields core). Every row
-  // writes only its own out slot and the ranges are disjoint, so the
-  // parallel sweep is race-free and bit-identical to the serial one.
+  const int nmax = max_neighbors(neighbor_counts);
   const model::TaskStore& ts = world.task_store();
-  out.resize(ts.size());
-  parallel_ranges(pool, workers, ts.size(),
-                  [&](std::size_t, std::size_t lo, std::size_t hi) {
-                    for (std::size_t i = lo; i < hi; ++i) {
-                      const double d = demand_from_fields(
-                          ts.deadline[i], ts.required[i],
-                          static_cast<int>(ts.measurements[i].size()), k,
-                          neighbor_counts[i], max_neighbors);
-                      out[i] = normalized ? normalize(d) : d;
-                    }
-                  });
+  std::vector<double> out(ts.size());
+  for (std::size_t i = 0; i < ts.size(); ++i) {
+    out[i] = demand_from_fields(ts.deadline[i], ts.required[i],
+                                static_cast<int>(ts.measurements[i].size()), k,
+                                neighbor_counts[i], nmax);
+  }
+  return out;
 }
 
 double DemandIndicator::normalize(double demand) const {
@@ -184,27 +124,9 @@ double DemandIndicator::normalize(double demand) const {
 
 std::vector<double> DemandIndicator::normalized_demands(
     const model::World& world, Round k) const {
-  // Fused single pass (normalize applied as each row is produced) over the
-  // cache's counts and running max — one sweep and one allocation where
-  // this used to copy demands() and normalize in a second loop.
-  const std::vector<int>& counts = world.neighbor_counts();
-  std::vector<double> out;
-  normalized_demands_into(world, k, counts, world.neighbor_max_count(), out);
+  std::vector<double> out = demands(world, k);
+  for (double& d : out) d = normalize(d);
   return out;
-}
-
-void DemandIndicator::normalized_demands_into(
-    const model::World& world, Round k,
-    const std::vector<int>& neighbor_counts, std::vector<double>& out) const {
-  normalized_demands_into(world, k, neighbor_counts, kScanForMax, out);
-}
-
-void DemandIndicator::normalized_demands_into(
-    const model::World& world, Round k,
-    const std::vector<int>& neighbor_counts, int max_neighbors,
-    std::vector<double>& out, ThreadPool* pool, int workers) const {
-  sweep_into(world, k, neighbor_counts, max_neighbors, /*normalized=*/true,
-             out, pool, workers);
 }
 
 }  // namespace mcs::incentive

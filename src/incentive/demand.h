@@ -16,10 +16,6 @@
 #include "common/types.h"
 #include "model/world.h"
 
-namespace mcs {
-class ThreadPool;
-}
-
 namespace mcs::incentive {
 
 /// Scale coefficients lambda1..lambda3 of Eqs. 3–5.
@@ -47,6 +43,11 @@ double progress_factor(int received, int required, double lambda2);
 /// and the factor takes its maximum value for all of them.
 double neighbor_factor(int neighbors, int max_neighbors, double lambda3);
 
+/// Nmax of Eq. 5: the largest per-task neighbor count, 0 when there are no
+/// tasks. One serial pass — task sets stay in the tens of thousands, where
+/// fanning a max out over a pool costs more than it saves.
+int max_neighbors(const std::vector<int>& neighbor_counts);
+
 /// Evaluates demands for whole task sets against a World snapshot.
 class DemandIndicator {
  public:
@@ -73,16 +74,12 @@ class DemandIndicator {
                 int max_neighbors) const;
 
   /// Eq. 2 straight from store columns — the shared per-row core of
-  /// demand() and every *_into sweep below, so all of them are the same
+  /// demand() and the demands() sweeps below, so all of them are the same
   /// expression by construction. Public so mechanisms fusing demand, level
   /// and reward into one column sweep (on_demand/adaptive update_rewards)
   /// price with the exact operation the pinned oracles use.
   double demand_from_fields(Round deadline, int required, int received,
                             Round k, int neighbors, int max_neighbors) const;
-
-  /// Sentinel max_neighbors for the *_into overloads: scan the supplied
-  /// counts for Nmax (two-pass deterministic reduction; see demands_into).
-  static constexpr int kScanForMax = -1;
 
   /// Raw demands for all tasks of a world at round k. Completed or expired
   /// tasks get demand 0 (they no longer ask for participants).
@@ -96,72 +93,22 @@ class DemandIndicator {
   std::vector<double> demands(const model::World& world, Round k) const;
 
   /// Same, with the per-task neighbor counts already in hand (one entry per
-  /// task position, as returned by World::neighbor_counts()). Lets callers
-  /// that evaluate several rounds or mechanisms against one user placement
-  /// skip the spatial-grid recount.
+  /// task position, as returned by World::neighbor_counts()); Nmax is their
+  /// max_neighbors(). Lets callers that evaluate several rounds or
+  /// mechanisms against one user placement skip the spatial-grid recount.
   std::vector<double> demands(const model::World& world, Round k,
                               const std::vector<int>& neighbor_counts) const;
-
-  /// Allocation-free demands: writes into `out` (resized to match). The
-  /// mechanism hot path calls this once per publish with a reused member
-  /// buffer, so steady-state repricing allocates nothing. This overload
-  /// scans the counts for Nmax — callers holding the cache's running max
-  /// (World::neighbor_max_count() or NeighborDelta::max_count) should pass
-  /// it to the overload below and skip the O(T) scan.
-  void demands_into(const model::World& world, Round k,
-                    const std::vector<int>& neighbor_counts,
-                    std::vector<double>& out) const;
-
-  /// The sharded core: the per-row sweep partitions into disjoint task-row
-  /// ranges fanned out over `pool` (parallel_ranges; pool = nullptr or
-  /// workers <= 1 runs serially inline). Each row is a pure function of the
-  /// store columns, its count and Nmax written to its own out slot, so the
-  /// result is bit-identical at any worker count. `max_neighbors` is Nmax
-  /// (>= every count; callers with the cache's running max pass it here);
-  /// kScanForMax derives it from the counts by a two-pass deterministic
-  /// reduction — per-range integer max into fixed slots, then a serial fold
-  /// — which is exact for any partition because integer max is associative.
-  void demands_into(const model::World& world, Round k,
-                    const std::vector<int>& neighbor_counts, int max_neighbors,
-                    std::vector<double>& out, ThreadPool* pool = nullptr,
-                    int workers = 1) const;
 
   /// Normalized demand in [0,1]: d / (lambda_max * ln 2)  (§IV-C).
   double normalize(double demand) const;
 
+  /// normalize(demand) for every task, in one serial sweep over the world's
+  /// neighbor counts. Together with demands() this is the plain per-row
+  /// oracle the mechanisms' fused sweeps are pinned against.
   std::vector<double> normalized_demands(const model::World& world,
                                          Round k) const;
 
-  /// Allocation-free normalized_demands over precomputed neighbor counts.
-  /// Fused: each row is normalized as it is produced (one column sweep, no
-  /// second pass over out), which is the same per-element operation order
-  /// as demands_into + normalize and therefore bit-identical to it.
-  void normalized_demands_into(const model::World& world, Round k,
-                               const std::vector<int>& neighbor_counts,
-                               std::vector<double>& out) const;
-
-  /// Sharded fused normalize; max_neighbors/pool semantics exactly as in
-  /// the sharded demands_into above.
-  void normalized_demands_into(const model::World& world, Round k,
-                               const std::vector<int>& neighbor_counts,
-                               int max_neighbors, std::vector<double>& out,
-                               ThreadPool* pool = nullptr,
-                               int workers = 1) const;
-
  private:
-  /// Shared body of the two sharded *_into overloads (normalized toggles
-  /// the fused per-row normalize).
-  void sweep_into(const model::World& world, Round k,
-                  const std::vector<int>& neighbor_counts, int max_neighbors,
-                  bool normalized, std::vector<double>& out, ThreadPool* pool,
-                  int workers) const;
-
-  /// The kScanForMax reduction: max over counts, partitioned like
-  /// sweep_into. Counts are non-negative by contract (neighbor_factor
-  /// checks), so empty/serial slots fold as identity 0.
-  static int max_count_over(const std::vector<int>& counts, ThreadPool* pool,
-                            int workers);
-
   DemandParams params_;
   std::vector<double> weights_;
 };

@@ -4,7 +4,6 @@
 #include <cmath>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 
 namespace mcs::incentive {
 
@@ -35,25 +34,9 @@ double DemandLevelScale::bucket_high(int level) const {
 std::vector<int> DemandLevelScale::levels_for(
     const std::vector<double>& demands) const {
   std::vector<int> out;
-  levels_into(demands, out);
+  out.reserve(demands.size());
+  for (const double d : demands) out.push_back(level(d));
   return out;
-}
-
-void DemandLevelScale::levels_into(const std::vector<double>& demands,
-                                   std::vector<int>& out) const {
-  levels_into(demands, out, nullptr, 1);
-}
-
-void DemandLevelScale::levels_into(const std::vector<double>& demands,
-                                   std::vector<int>& out, ThreadPool* pool,
-                                   int workers) const {
-  out.resize(demands.size());
-  parallel_ranges(pool, workers, demands.size(),
-                  [&](std::size_t, std::size_t lo, std::size_t hi) {
-                    for (std::size_t i = lo; i < hi; ++i) {
-                      out[i] = level(demands[i]);
-                    }
-                  });
 }
 
 }  // namespace mcs::incentive

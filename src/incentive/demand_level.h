@@ -4,10 +4,6 @@
 
 #include <vector>
 
-namespace mcs {
-class ThreadPool;
-}
-
 namespace mcs::incentive {
 
 class DemandLevelScale {
@@ -27,19 +23,6 @@ class DemandLevelScale {
   double bucket_high(int level) const;
 
   std::vector<int> levels_for(const std::vector<double>& demands) const;
-
-  /// Allocation-free levels_for: writes into `out` (resized to match;
-  /// steady-state callers reusing one buffer never allocate).
-  void levels_into(const std::vector<double>& demands,
-                   std::vector<int>& out) const;
-
-  /// Sharded levels_into: the quantization sweep partitions into disjoint
-  /// index ranges over `pool` (parallel_ranges semantics; pool = nullptr or
-  /// workers <= 1 runs serially inline). level() is a pure per-element
-  /// function into a private out slot, so the result is bit-identical at
-  /// any worker count.
-  void levels_into(const std::vector<double>& demands, std::vector<int>& out,
-                   ThreadPool* pool, int workers) const;
 
  private:
   int levels_;

@@ -40,22 +40,22 @@ class IncentiveMechanism {
   /// once per round. Round-granularity mechanisms keep the default.
   virtual bool updates_within_round() const { return false; }
 
-  /// Incremental intra-round repricing. Between two user sessions of one
-  /// round only a sliver of the world changes: the previous session's tasks
-  /// gained measurements (their positions arrive in `dirty_tasks`) and the
-  /// previous session's walker moved along its tour (visible through
-  /// World::neighbor_counts(), which is delta-maintained). Every round-start
-  /// move (mobility) happens before the round's first session, so no other
-  /// user moves between sessions. The simulator calls this instead of
+  /// Intra-round repricing, for mechanisms that return true from
+  /// updates_within_round(). The simulator calls this instead of
   /// update_rewards() before every session of a round that has already been
-  /// published with update_rewards(world, k).
+  /// published with update_rewards(world, k); round-granularity mechanisms
+  /// (on-demand, adaptive, fixed, participation) are never repriced inside
+  /// a round. Between two sessions only the previous session's tasks gained
+  /// measurements (their positions arrive in `dirty_tasks`): every user
+  /// moves in the round's pre-pass, before the first session.
   ///
   /// Contract: after reprice() returns, rewards() must be bit-identical to
   /// what a full update_rewards(world, k) against the same world would
   /// produce — incrementality is an implementation detail, never a
   /// semantic. The default keeps that trivially true by recomputing in
-  /// full; mechanisms with a cheap dirty-path override it (the equivalence
-  /// suite pins steered's O(dirty) path against the full recompute).
+  /// full; steered overrides it with an O(dirty) path, the only
+  /// incremental repricer (the reprice suite pins it against the full
+  /// recompute).
   virtual void reprice(const model::World& world, Round k,
                        const std::vector<std::size_t>& dirty_tasks);
 

@@ -1,11 +1,12 @@
 // The paper's demand-based dynamic ("pay on-demand") incentive mechanism.
 //
-// Every round: evaluate the AHP-weighted demand indicator for each task,
-// normalize, quantize into demand levels, and price with the linear rule of
-// Eq. 7. Completed and expired tasks get reward 0 (they are withdrawn).
+// Once per round (Fig. 1 step 1): evaluate the AHP-weighted demand
+// indicator for each task, normalize, quantize into demand levels, and price
+// with the linear rule of Eq. 7, all in one fused sweep over the task rows.
+// Completed and expired tasks get reward 0 (they are withdrawn). Prices are
+// never revised inside a round, so the mechanism keeps the default full
+// reprice() and no incremental state.
 #pragma once
-
-#include <cstddef>
 
 #include "incentive/demand.h"
 #include "incentive/demand_level.h"
@@ -26,31 +27,10 @@ class OnDemandMechanism final : public IncentiveMechanism {
   /// operator-new counter).
   void update_rewards(const model::World& world, Round k) override;
 
-  /// Incremental repricing. A task's price can change between two sessions
-  /// of one round only if (a) it gained a measurement (it is in
-  /// `dirty_tasks`), or (b) its neighbor count moved because a user walked
-  /// (delivered by World's neighbor-cache change journal), or (c) the
-  /// global max neighbor count Nmax changed, which perturbs X3 for *every*
-  /// task — that case falls back to the full recompute, as does a cache
-  /// rebuild (no per-position delta exists to replay). X1 depends only on
-  /// (k, deadline) and is frozen within the round. Bit-identical to
-  /// update_rewards by the reprice() contract; the fast path is truly
-  /// O(dirty + journaled count changes) — Nmax comes from the cache's
-  /// count histogram, so there is no O(T) scan of any kind.
-  void reprice(const model::World& world, Round k,
-               const std::vector<std::size_t>& dirty_tasks) override;
-
-  /// Number of task positions the most recent reprice() actually repriced
-  /// (num_tasks when it fell back to a full update). Pins the O(dirty)
-  /// contract in tests and the bench fast-path gate.
-  std::size_t last_reprice_touched() const { return last_reprice_touched_; }
-
-  /// Checkpoint state: the published demand/level/reward snapshot plus the
-  /// reprice bookkeeping (Nmax, round, published). last_reprice_touched_ is
-  /// a diagnostic, not pricing state, and is reset on restore. After a
-  /// resume the world's neighbor cache is freshly rebuilt, so the first
-  /// reprice() sees rebuilt=true and recomputes in full — bit-identical by
-  /// the reprice() contract, with no cache state to serialize.
+  /// Checkpoint state: the published demand/level/reward snapshot. Every
+  /// update recomputes from the world alone, so nothing else carries over;
+  /// the reprice bookkeeping keys older payloads hold (last_max_neighbors,
+  /// last_round, published) are ignored on restore.
   Json state_to_json() const override;
   void restore_state(const Json& state) override;
 
@@ -66,21 +46,11 @@ class OnDemandMechanism final : public IncentiveMechanism {
   const DemandLevelScale& scale() const { return scale_; }
 
  private:
-  void reprice_position(const model::World& world, Round k, std::size_t pos,
-                        int neighbors, int max_neighbors);
-
   DemandIndicator indicator_;
   DemandLevelScale scale_;
   RewardRule rule_;
   std::vector<double> last_demands_;
   std::vector<int> last_levels_;
-  // Reprice bookkeeping: the Nmax the current rewards_ were priced against
-  // and the round they were published for. Per-position changes arrive via
-  // World::take_neighbor_changes(), so no count snapshot is kept here.
-  int last_max_neighbors_ = 0;
-  Round last_round_ = 0;
-  bool published_ = false;
-  std::size_t last_reprice_touched_ = 0;
 };
 
 }  // namespace mcs::incentive

@@ -214,30 +214,7 @@ void World::recount_neighbor_cache(ThreadPool* pool, int workers) const {
                               ncache_.task_pos[i], neighbor_radius_));
                     }
                   });
-  rebuild_neighbor_derived();
-}
-
-void World::rebuild_neighbor_derived() const {
-  // Histogram for the running max: counts are bounded by the population.
-  ncache_.count_freq.assign(ustore_->size() + 1, 0);
-  ncache_.max_count = 0;
-  for (std::size_t i = 0; i < tstore_->size(); ++i) {
-    ++ncache_.count_freq[static_cast<std::size_t>(ncache_.counts[i])];
-    if (ncache_.counts[i] > ncache_.max_count) {
-      ncache_.max_count = ncache_.counts[i];
-    }
-  }
-  // Reset the change journal: per-position deltas are meaningless across a
-  // rebuild, so consumers see rebuilt=true until the next take.
-  ncache_.changed.clear();
-  ncache_.changed_mark.assign(tstore_->size(), 0);
-  ncache_.changed_gen = 1;
-  ncache_.rebuilt_pending = true;
-  // Size the sync scratch here too, so the first delta sync after a rebuild
-  // is allocation-free (the steady-state reprice path is gated on zero
-  // heap traffic).
-  ncache_.delta.assign(tstore_->size(), 0);
-  ncache_.touch_mark.assign(tstore_->size(), 0);
+  ++ncache_.recounts;
   ncache_.valid = true;
 }
 
@@ -272,80 +249,22 @@ void World::sync_neighbor_cache() const {
   // Delta update: a user who moved from p0 to p1 leaves the neighborhood of
   // every task within radius of p0 and enters that of every task within
   // radius of p1. The task grid answers both "tasks near p" queries with
-  // the exact predicate a full recount uses, so counts stay integer-exact.
-  //
-  // Batched: the per-user grid pokes only accumulate ±1 into a net-delta
-  // scratch (plus a first-touch list), and the count / histogram / running
-  // max / journal bookkeeping is applied once per touched task in a single
-  // sweep afterwards. A drift round where every user moves pokes each hot
-  // task hundreds of times; the batched kernel pays the histogram walk and
-  // journal dedup once per task instead of once per poke. The final counts,
-  // histogram, max and journal are identical to the historical poke-at-a-
-  // time path: net deltas commute over integer adds, the max is re-derived
-  // from the exact histogram, and the first-touch order of the scratch list
-  // equals the first-bump order (same traversal, application deferred).
-  if (ncache_.delta.size() != tstore_->size()) {
-    ncache_.delta.assign(tstore_->size(), 0);  // kept all-zero between syncs
-  }
-  ncache_.touched.clear();
-  const auto poke = [this](std::int32_t t, int d) {
-    if (ncache_.delta[static_cast<std::size_t>(t)] == 0 &&
-        ncache_.touch_mark[static_cast<std::size_t>(t)] !=
-            ncache_.changed_gen) {
-      ncache_.touched.push_back(static_cast<std::size_t>(t));
-      ncache_.touch_mark[static_cast<std::size_t>(t)] = ncache_.changed_gen;
-    }
-    ncache_.delta[static_cast<std::size_t>(t)] += d;
-  };
-  if (ncache_.touch_mark.size() != tstore_->size()) {
-    ncache_.touch_mark.assign(tstore_->size(), 0);
-  }
+  // the exact predicate a full recount uses, so counts stay integer-exact
+  // (and integer adds commute, so the order of the moves is irrelevant).
   // Only the frozen task grid is consulted: the user grid is a rebuild-time
   // artifact nobody reads between rebuilds, so a moved user costs two CSR
-  // radius queries and nothing else (the historical mutable user grid paid
-  // a cell-vector remove + insert per mover on top, for no reader).
+  // radius queries and nothing else.
+  std::vector<int>& counts = ncache_.counts;
   for (std::size_t i = 0; i < ustore_->size(); ++i) {
     const geo::Point now = ustore_->location[i];
     if (now == ncache_.user_pos[i]) continue;
     ncache_.task_grid.for_each_in_radius(
         ncache_.user_pos[i], neighbor_radius_,
-        [&poke](std::int32_t t) { poke(t, -1); });
+        [&counts](std::int32_t t) { --counts[static_cast<std::size_t>(t)]; });
     ncache_.task_grid.for_each_in_radius(
-        now, neighbor_radius_, [&poke](std::int32_t t) { poke(t, +1); });
+        now, neighbor_radius_,
+        [&counts](std::int32_t t) { ++counts[static_cast<std::size_t>(t)]; });
     ncache_.user_pos[i] = now;
-  }
-  for (const std::size_t pos : ncache_.touched) {
-    // Touched tasks enter the journal even at net-zero delta — exactly the
-    // positions the poke-at-a-time path journaled ("changed and changed
-    // back" is documented as allowed; consumers recompute from the current
-    // count).
-    if (ncache_.changed_mark[pos] != ncache_.changed_gen) {
-      ncache_.changed_mark[pos] = ncache_.changed_gen;
-      ncache_.changed.push_back(pos);
-    }
-    const int d = ncache_.delta[pos];
-    ncache_.delta[pos] = 0;
-    ncache_.touch_mark[pos] = 0;
-    if (d == 0) continue;
-    int& c = ncache_.counts[pos];
-    --ncache_.count_freq[static_cast<std::size_t>(c)];
-    c += d;
-    if (static_cast<std::size_t>(c) >= ncache_.count_freq.size()) {
-      ncache_.count_freq.resize(static_cast<std::size_t>(c) + 1, 0);
-    }
-    ++ncache_.count_freq[static_cast<std::size_t>(c)];
-    if (c > ncache_.max_count) {
-      ncache_.max_count = c;
-    } else {
-      // The old value may have been the last occupant of the top bucket;
-      // walk down to the next non-empty one. Amortized O(1): the walk only
-      // descends past levels some earlier increment climbed.
-      while (ncache_.max_count > 0 &&
-             ncache_.count_freq[static_cast<std::size_t>(
-                 ncache_.max_count)] == 0) {
-        --ncache_.max_count;
-      }
-    }
   }
 }
 
@@ -357,31 +276,6 @@ const std::vector<int>& World::neighbor_counts() const {
     rebuild_neighbor_cache(nullptr, 1);
   }
   return ncache_.counts;
-}
-
-int World::neighbor_max_count() const {
-  neighbor_counts();  // sync or rebuild
-  return ncache_.max_count;
-}
-
-World::NeighborDelta World::take_neighbor_changes() const {
-  neighbor_counts();  // sync or rebuild
-  MCS_NCACHE_GUARD(ncache_busy_);
-  NeighborDelta d;
-  d.rebuilt = ncache_.rebuilt_pending;
-  std::swap(ncache_.changed, ncache_.taken);
-  ncache_.changed.clear();
-  // A fresh generation invalidates every mark; on wrap-around (once per
-  // 2^32 takes) the marks are reset so stale stamps can never alias.
-  if (++ncache_.changed_gen == 0) {
-    ncache_.changed_mark.assign(ncache_.changed_mark.size(), 0);
-    ncache_.changed_gen = 1;
-  }
-  ncache_.rebuilt_pending = false;
-  d.changed = &ncache_.taken;
-  d.counts = &ncache_.counts;
-  d.max_count = ncache_.max_count;
-  return d;
 }
 
 long long World::total_required() const {

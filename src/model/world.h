@@ -93,9 +93,8 @@ class World {
   /// subsequent calls diff the user positions against the last-synced
   /// snapshot and delta-update only the counts of tasks near a moved user —
   /// O(moved) instead of O(U + T·r-cells) per call, and allocation-free
-  /// once warm. This lazy path never recounts a usable cache, so the
-  /// intra-round one-mover syncs stay O(moved); a bulk round-start update
-  /// goes through refresh_neighbor_cache() instead.
+  /// once warm. This lazy path never recounts a usable cache; a bulk
+  /// round-start update goes through refresh_neighbor_cache() instead.
   /// The cache is synced lazily on read, so callers may move users through
   /// User::set_location freely between calls. Counts are exact integers:
   /// the delta path uses the same distance predicate as a full recount, so
@@ -106,13 +105,6 @@ class World {
   /// carry a tripwire: concurrent entry to any cache-syncing accessor
   /// throws mcs::Error instead of racing silently.
   const std::vector<int>& neighbor_counts() const;
-
-  /// The maximum of neighbor_counts() (Nmax, the X3 denominator of Eq. 6),
-  /// maintained incrementally by a count histogram: O(1) amortized per
-  /// count change instead of an O(T) max_element per query. Syncs the cache
-  /// exactly like neighbor_counts() and always equals
-  /// *max_element(neighbor_counts()) (0 when there are no tasks).
-  int neighbor_max_count() const;
 
   /// Bring the neighbor cache up to date with the current user positions,
   /// choosing the cheaper of two exact paths. `pool` = nullptr or
@@ -125,38 +117,17 @@ class World {
   ///    moves (the cost model is derived in world.cpp); otherwise the
   ///    serial delta sync runs, exactly as neighbor_counts() would.
   /// Counts are integer-exact on every path, so the choice never changes a
-  /// result. A rebuild or recount sets NeighborDelta::rebuilt for the next
-  /// take. Allocation-free once warm at unchanged sizes. The simulator
+  /// result. Allocation-free once warm at unchanged sizes. The simulator
   /// calls this once per round, before the round-start publish; the caller
   /// must be the cache's single consumer (same contract as
   /// neighbor_counts()).
   void refresh_neighbor_cache(ThreadPool* pool, int workers) const;
 
-  /// Everything that happened to the neighbor counts since the journal was
-  /// last taken. `rebuilt` true means the cache was rebuilt from scratch
-  /// (task/user set changed, or first use) and `changed` lists nothing
-  /// useful — the consumer must assume every count moved. Otherwise
-  /// `changed` holds the task positions whose count was touched since the
-  /// last take, deduplicated, in first-touch order (it may include
-  /// positions whose count changed and changed back; consumers recompute
-  /// from the current count, so that is merely redundant work, never
-  /// wrong). The pointer stays valid until the next take.
-  struct NeighborDelta {
-    bool rebuilt = true;
-    const std::vector<std::size_t>* changed = nullptr;
-    /// The synced counts and running max at take time — identical to what
-    /// neighbor_counts()/neighbor_max_count() would return, carried here so
-    /// the consumer does not pay the location-diff sync three times over.
-    const std::vector<int>* counts = nullptr;
-    int max_count = 0;
-  };
-
-  /// Sync the cache and take the journal (clearing it). SINGLE-CONSUMER:
-  /// taking is destructive, so exactly one reader may pair cached derived
-  /// state with the journal — in this codebase the simulator's one
-  /// mechanism per world (OnDemandMechanism's reprice fast path).
-  /// neighbor_counts()/neighbor_max_count() never disturb the journal.
-  NeighborDelta take_neighbor_changes() const;
+  /// How many times the cache has counted every task from scratch: full
+  /// rebuilds plus round-start recounts (a delta sync does not count).
+  /// Read-only diagnostic for tests and benches that must tell which side
+  /// of refresh_neighbor_cache()'s cost model ran; copies carry it along.
+  std::uint64_t neighbor_recounts() const { return ncache_.recounts; }
 
   /// Total number of measurements required across tasks (sum of phi_i);
   /// the denominator of Eq. 9.
@@ -175,11 +146,9 @@ class World {
   bool neighbor_cache_usable() const;
   /// Full rebuild: task grid, then recount_neighbor_cache().
   void rebuild_neighbor_cache(ThreadPool* pool, int workers) const;
-  /// User grid + the one per-task count pass + rebuild_neighbor_derived().
+  /// User grid + the one per-task count pass.
   void recount_neighbor_cache(ThreadPool* pool, int workers) const;
   void sync_neighbor_cache() const;
-  /// Histogram, running max and journal reset after a (re)count.
-  void rebuild_neighbor_derived() const;
   /// Cell size of both neighbor grids: the query radius, so a radius query
   /// scans a 3x3 cell neighborhood.
   Meters neighbor_cell() const {
@@ -210,27 +179,8 @@ class World {
     geo::FrozenGrid task_grid;         // ids are task positions
     std::vector<geo::Point> user_pos;  // last-synced user locations
     std::vector<geo::Point> task_pos;  // task set at build time
-    std::vector<int> counts;                    // one per task position
-    // Running max: count_freq[c] = number of tasks with count c; max_count
-    // tracks the largest non-empty bucket (0 when there are no tasks).
-    int max_count = 0;
-    std::vector<int> count_freq;
-    // Change journal (see take_neighbor_changes): `changed` accumulates
-    // first-touch task positions, deduplicated by a generation-stamped mark
-    // per task; `taken` is the buffer handed to the consumer (swap keeps
-    // the steady state allocation-free). `rebuilt_pending` stays set from a
-    // rebuild until the next take.
-    std::vector<std::size_t> changed;
-    std::vector<std::size_t> taken;
-    std::vector<std::uint32_t> changed_mark;
-    std::uint32_t changed_gen = 1;
-    bool rebuilt_pending = true;
-    // Batched-sync scratch (sync_neighbor_cache): net count delta per task
-    // and the first-touch list of the sync in flight. Both are left empty /
-    // all-zero when the sync returns, so they carry no state between calls.
-    std::vector<int> delta;
-    std::vector<std::size_t> touched;
-    std::vector<std::uint32_t> touch_mark;
+    std::vector<int> counts;           // one per task position
+    std::uint64_t recounts = 0;        // see neighbor_recounts()
   };
   mutable NeighborCache ncache_;
   // Debug tripwire for the documented NOT-thread-safe contract: every

@@ -6,8 +6,9 @@
 #include <vector>
 
 #include "common/error.h"
-#include "common/thread_pool.h"
 #include "incentive/demand_level.h"
+#include "incentive/on_demand_mechanism.h"
+#include "incentive/reward.h"
 
 namespace mcs::incentive {
 namespace {
@@ -276,7 +277,7 @@ TEST_P(DemandBoundsProperty, AlwaysInRange) {
 INSTANTIATE_TEST_SUITE_P(Deadlines, DemandBoundsProperty,
                          ::testing::Values(1, 2, 5, 15, 40));
 
-// demands_into sweeps the raw store columns; it must equal the per-task
+// demands() sweeps the raw store columns; it must equal the per-task
 // demand() view path bit for bit across progress states (fresh, partial,
 // completed, overfilled) and rounds (live, final, expired).
 TEST(DemandIndicator, ColumnSweepMatchesPerTaskDemandBitExact) {
@@ -294,8 +295,7 @@ TEST(DemandIndicator, ColumnSweepMatchesPerTaskDemandBitExact) {
   for (int i = 0; i < 3; ++i) world.tasks()[4].add_measurement(i, 1, 0.5);
   const std::vector<int> counts = {0, 1, 2, 3, 1};
   for (const Round k : {1, 2, 3, 8}) {
-    std::vector<double> swept;
-    indicator.demands_into(world, k, counts, swept);
+    const std::vector<double> swept = indicator.demands(world, k, counts);
     ASSERT_EQ(swept.size(), world.num_tasks());
     for (std::size_t i = 0; i < world.num_tasks(); ++i) {
       EXPECT_EQ(swept[i], indicator.demand(world.tasks()[i], k, counts[i], 3))
@@ -304,89 +304,35 @@ TEST(DemandIndicator, ColumnSweepMatchesPerTaskDemandBitExact) {
   }
 }
 
-// The cached running max: demands(world, k) now reads Nmax from the
-// neighbor cache's histogram instead of scanning the counts. Regression —
-// it must equal the scan-based overload exactly, before and after user
-// movement shifts the counts.
-TEST(DemandIndicator, CachedRunningMaxMatchesCountScan) {
-  const auto indicator = DemandIndicator::with_paper_defaults();
-  model::World world(geo::BoundingBox::square(3000.0), geo::TravelModel{},
-                     500.0);
-  world.add_task({300, 300}, /*deadline=*/8, /*required=*/4);
-  world.add_task({900, 300}, 8, 4);
-  world.add_task({1500, 300}, 8, 4);
-  world.add_user({300, 320}, 600.0);
-  world.add_user({300, 280}, 600.0);
-  world.add_user({900, 320}, 600.0);
-
-  EXPECT_EQ(indicator.demands(world, 1),
-            indicator.demands(world, 1, world.neighbor_counts()));
-
-  // Move a user between discs: counts change, the histogram max follows.
-  world.users()[2].set_location({1500.0, 320.0});
-  EXPECT_EQ(indicator.demands(world, 2),
-            indicator.demands(world, 2, world.neighbor_counts()));
-}
-
-// normalized_demands_into is a fused single pass; it must equal the
-// two-pass demands_into + normalize loop bit for bit.
+// The on-demand mechanism fuses demand, normalize and level into one sweep
+// over the store columns; it must equal the two-pass serial oracle —
+// demands() then normalize(), then levels_for() — bit for bit, and so must
+// normalized_demands().
 TEST(DemandIndicator, FusedNormalizeMatchesTwoPassBitExact) {
   const auto indicator = DemandIndicator::with_paper_defaults();
+  const DemandLevelScale scale(5);
   model::World world(geo::BoundingBox::square(1000.0), geo::TravelModel{},
                      100.0);
   world.add_task({100, 100}, /*deadline=*/6, /*required=*/4);
   world.add_task({200, 200}, 8, 3);
   world.add_task({300, 300}, 2, 2);
   world.task(1).add_measurement(0, 1, 0.5);
-  const std::vector<int> counts = {0, 2, 1};
+  world.add_user({100, 120}, 600.0);  // neighbor of task 0
+  world.add_user({210, 200}, 600.0);  // neighbor of task 1
+  world.add_user({200, 190}, 600.0);  // neighbor of task 1
+  world.add_user({300, 300}, 600.0);  // neighbor of task 2
+  ASSERT_EQ(world.neighbor_counts(), (std::vector<int>{1, 2, 1}));
+  OnDemandMechanism fused(indicator, scale,
+                          RewardRule::from_budget(100.0, 9, 0.5, 5));
   for (const Round k : {1, 2, 3}) {
-    std::vector<double> two_pass;
-    indicator.demands_into(world, k, counts, two_pass);
+    std::vector<double> two_pass = indicator.demands(world, k);
     for (double& d : two_pass) d = indicator.normalize(d);
-    std::vector<double> fused;
-    indicator.normalized_demands_into(world, k, counts, fused);
-    EXPECT_EQ(fused, two_pass) << "round " << k;
-  }
-}
-
-// The sharded sweeps (demands_into / normalized_demands_into / levels_into)
-// must be bit-identical to the serial path at any worker count, both when
-// Nmax is supplied and when the kScanForMax reduction derives it.
-TEST(DemandIndicator, ShardedSweepsBitIdenticalAtAnyWorkerCount) {
-  const auto indicator = DemandIndicator::with_paper_defaults();
-  const DemandLevelScale scale(5);
-  model::World world(geo::BoundingBox::square(5000.0), geo::TravelModel{},
-                     100.0);
-  std::vector<int> counts;
-  for (int i = 0; i < 57; ++i) {  // odd count: uneven range boundaries
-    world.add_task({100.0 + 50.0 * i, 200.0}, /*deadline=*/8,
-                   /*required=*/3 + (i % 4));
-    if (i % 3 == 0) world.task(i).add_measurement(0, 1, 0.5);
-    counts.push_back(i % 7);
-  }
-  std::vector<double> serial_d;
-  indicator.demands_into(world, 2, counts, DemandIndicator::kScanForMax,
-                         serial_d);
-  std::vector<double> serial_nd;
-  indicator.normalized_demands_into(world, 2, counts, /*max_neighbors=*/6,
-                                    serial_nd);
-  std::vector<int> serial_lv;
-  scale.levels_into(serial_nd, serial_lv);
-
-  for (const int workers : {2, 8}) {
-    SCOPED_TRACE(workers);
-    ThreadPool pool(workers);
-    std::vector<double> d;
-    indicator.demands_into(world, 2, counts, DemandIndicator::kScanForMax, d,
-                           &pool, workers);
-    EXPECT_EQ(d, serial_d);
-    std::vector<double> nd;
-    indicator.normalized_demands_into(world, 2, counts, /*max_neighbors=*/6,
-                                      nd, &pool, workers);
-    EXPECT_EQ(nd, serial_nd);
-    std::vector<int> lv;
-    scale.levels_into(nd, lv, &pool, workers);
-    EXPECT_EQ(lv, serial_lv);
+    EXPECT_EQ(indicator.normalized_demands(world, k), two_pass)
+        << "round " << k;
+    fused.update_rewards(world, k);
+    EXPECT_EQ(fused.last_normalized_demands(), two_pass) << "round " << k;
+    EXPECT_EQ(fused.last_levels(), scale.levels_for(two_pass))
+        << "round " << k;
   }
 }
 

@@ -4,7 +4,7 @@
 // task additions (integer counts, shared distance predicate — no epsilon).
 #include <gtest/gtest.h>
 
-#include <algorithm>
+#include <cstdint>
 #include <vector>
 
 #include "common/rng.h"
@@ -73,85 +73,24 @@ TEST(NeighborCache, PopulationAndTaskGrowthForceRebuild) {
   Rng rng(7);
   for (int i = 0; i < 8; ++i) w.add_task(random_point(rng, side), 10, 5);
   for (int i = 0; i < 20; ++i) w.add_user(random_point(rng, side), 600.0);
+  EXPECT_EQ(w.neighbor_recounts(), 0u);
   EXPECT_EQ(w.neighbor_counts(), brute_force_counts(w));
+  EXPECT_EQ(w.neighbor_recounts(), 1u);
 
   // New user after the cache is warm: sizes diverge, cache must rebuild.
   w.add_user({10.0, 10.0}, 600.0);
   EXPECT_EQ(w.neighbor_counts(), brute_force_counts(w));
+  EXPECT_EQ(w.neighbor_recounts(), 2u);
 
   // New task after the cache is warm: likewise.
   w.add_task({700.0, 700.0}, 10, 5);
   EXPECT_EQ(w.neighbor_counts(), brute_force_counts(w));
+  EXPECT_EQ(w.neighbor_recounts(), 3u);
 
   // And moves keep delta-syncing correctly after the rebuilds.
   w.users()[3].set_location({705.0, 705.0});
   EXPECT_EQ(w.neighbor_counts(), brute_force_counts(w));
-}
-
-TEST(NeighborCache, RunningMaxMatchesMaxElementAcrossRandomMoves) {
-  const double side = 2000.0;
-  World w(geo::BoundingBox::square(side), geo::TravelModel{}, 300.0);
-  Rng rng(99);
-  for (int i = 0; i < 25; ++i) w.add_task(random_point(rng, side), 10, 5);
-  for (int i = 0; i < 60; ++i) w.add_user(random_point(rng, side), 600.0);
-
-  for (int iter = 0; iter < 40; ++iter) {
-    const int moves = static_cast<int>(rng.uniform_int(0, 10));
-    for (int m = 0; m < moves; ++m) {
-      const auto who = static_cast<std::size_t>(
-          rng.uniform_int(0, static_cast<int>(w.num_users()) - 1));
-      w.users()[who].set_location(random_point(rng, side));
-    }
-    const std::vector<int>& counts = w.neighbor_counts();
-    EXPECT_EQ(w.neighbor_max_count(),
-              *std::max_element(counts.begin(), counts.end()))
-        << "iter " << iter;
-  }
-}
-
-TEST(NeighborCache, ChangeJournalReportsExactlyTheTouchedTasks) {
-  World w(geo::BoundingBox::square(3000.0), geo::TravelModel{}, 500.0);
-  w.add_task({300.0, 300.0}, 10, 5);
-  w.add_task({900.0, 300.0}, 10, 5);
-  w.add_task({1500.0, 300.0}, 10, 5);
-  w.add_user({300.0, 320.0}, 600.0);
-  w.add_user({900.0, 320.0}, 600.0);
-
-  // First take after construction: a rebuild, no delta to replay.
-  model::World::NeighborDelta d = w.take_neighbor_changes();
-  EXPECT_TRUE(d.rebuilt);
-
-  // No movement: an empty, non-rebuilt delta.
-  d = w.take_neighbor_changes();
-  EXPECT_FALSE(d.rebuilt);
-  ASSERT_NE(d.changed, nullptr);
-  EXPECT_TRUE(d.changed->empty());
-
-  // User 0 walks from task 0's disc to task 2's: exactly {0, 2} touched.
-  w.users()[0].set_location({1500.0, 320.0});
-  d = w.take_neighbor_changes();
-  EXPECT_FALSE(d.rebuilt);
-  std::vector<std::size_t> touched(*d.changed);
-  std::sort(touched.begin(), touched.end());
-  EXPECT_EQ(touched, (std::vector<std::size_t>{0, 2}));
-
-  // A round trip within one sync window is journaled (first-touch, not
-  // net-change): consumers recompute from the current count, so the
-  // net-zero entry is redundant but never wrong.
-  w.users()[0].set_location({300.0, 320.0});
-  (void)w.neighbor_counts();  // sync: leaves 2, enters 0
-  w.users()[0].set_location({1500.0, 320.0});
-  (void)w.neighbor_counts();  // sync: leaves 0, enters 2
-  d = w.take_neighbor_changes();
-  EXPECT_FALSE(d.rebuilt);
-  touched.assign(d.changed->begin(), d.changed->end());
-  std::sort(touched.begin(), touched.end());
-  EXPECT_EQ(touched, (std::vector<std::size_t>{0, 2}));
-
-  // Growth rebuilds the cache; the journal must say so.
-  w.add_user({900.0, 280.0}, 600.0);
-  d = w.take_neighbor_changes();
-  EXPECT_TRUE(d.rebuilt);
+  EXPECT_EQ(w.neighbor_recounts(), 3u);
 }
 
 TEST(NeighborCache, ZeroRadiusAndCoincidentPoints) {
@@ -174,10 +113,9 @@ World random_world(std::uint64_t seed, int tasks, int users) {
 }
 
 // The round-start policy: refresh_neighbor_cache() recounts when
-// 2 * moved * workers > U and delta-syncs otherwise. Either way the counts,
-// the histogram-backed max and the journal's max must equal brute force and
-// a twin world that only ever delta-syncs; the journal reports rebuilt
-// exactly when a recount ran.
+// 2 * moved * workers > U and delta-syncs otherwise. Either way the counts
+// must equal brute force and a twin world that only ever delta-syncs;
+// neighbor_recounts() advances exactly when a recount ran.
 TEST(NeighborCache, RefreshPolicyMatchesDeltaSyncTwinAndBruteForce) {
   const int users = 97;  // odd, so U / (2w) is never a whole number
   for (const int workers : {1, 2, 4}) {
@@ -192,9 +130,10 @@ TEST(NeighborCache, RefreshPolicyMatchesDeltaSyncTwinAndBruteForce) {
                    << "workers " << workers << ", movers " << movers);
       World w = random_world(100 + movers * 7 + static_cast<std::size_t>(workers),
                              40, users);
-      (void)w.take_neighbor_changes();  // build and clear the journal
+      (void)w.neighbor_counts();  // build the cache
       World twin = w;
-      (void)twin.take_neighbor_changes();
+      const std::uint64_t recounts_before = w.neighbor_recounts();
+      const std::uint64_t twin_before = twin.neighbor_recounts();
 
       Rng rng(movers + 1);
       std::vector<std::size_t> order(static_cast<std::size_t>(users));
@@ -208,33 +147,23 @@ TEST(NeighborCache, RefreshPolicyMatchesDeltaSyncTwinAndBruteForce) {
 
       w.refresh_neighbor_cache(pool_arg, workers);
       const std::vector<int> brute = brute_force_counts(w);
-      const int brute_max = *std::max_element(brute.begin(), brute.end());
       EXPECT_EQ(w.neighbor_counts(), brute);
       EXPECT_EQ(twin.neighbor_counts(), brute);
-      EXPECT_EQ(w.neighbor_max_count(), brute_max);
-      EXPECT_EQ(twin.neighbor_max_count(), brute_max);
 
       const bool recount =
           2 * movers * static_cast<std::size_t>(workers) >
           static_cast<std::size_t>(users);
       EXPECT_EQ(recount, movers == under + 1 ||
                              movers == static_cast<std::size_t>(users));
-      const World::NeighborDelta d = w.take_neighbor_changes();
-      EXPECT_EQ(d.rebuilt, recount);
-      EXPECT_EQ(d.max_count, brute_max);
-      EXPECT_EQ(*d.counts, brute);
-      EXPECT_FALSE(twin.take_neighbor_changes().rebuilt);
+      EXPECT_EQ(w.neighbor_recounts() - recounts_before, recount ? 1u : 0u);
+      EXPECT_EQ(twin.neighbor_recounts(), twin_before);
 
-      // The histogram survives the recount: later one-mover syncs keep the
-      // running max exact.
+      // Later one-mover syncs keep the counts exact after a recount.
       for (int step = 0; step < 10; ++step) {
         const auto who = static_cast<std::size_t>(
             rng.uniform_int(0, users - 1));
         w.users()[who].set_location(random_point(rng, 2000.0));
-        const std::vector<int> now = brute_force_counts(w);
-        EXPECT_EQ(w.neighbor_counts(), now);
-        EXPECT_EQ(w.neighbor_max_count(),
-                  *std::max_element(now.begin(), now.end()));
+        EXPECT_EQ(w.neighbor_counts(), brute_force_counts(w));
       }
     }
   }
@@ -246,13 +175,14 @@ TEST(NeighborCache, RefreshRebuildsAnUnusableCacheAtAnyWorkerCount) {
     ThreadPool pool(workers);
     World w = random_world(5, 30, 80);
     w.refresh_neighbor_cache(&pool, workers);  // first use: full rebuild
+    EXPECT_EQ(w.neighbor_recounts(), 1u);
     EXPECT_EQ(w.neighbor_counts(), brute_force_counts(w));
-    EXPECT_TRUE(w.take_neighbor_changes().rebuilt);
 
     w.add_user({1000.0, 1000.0}, 600.0);  // population change
     w.refresh_neighbor_cache(&pool, workers);
+    EXPECT_EQ(w.neighbor_recounts(), 2u);
     EXPECT_EQ(w.neighbor_counts(), brute_force_counts(w));
-    EXPECT_TRUE(w.take_neighbor_changes().rebuilt);
+    EXPECT_EQ(w.neighbor_recounts(), 2u);
   }
 }
 
@@ -260,11 +190,12 @@ TEST(NeighborCache, LazyReadsNeverRecount) {
   // Every user moves, but the lazy path still replays the moves: only
   // refresh_neighbor_cache() may recount a usable cache.
   World w = random_world(9, 30, 60);
-  (void)w.take_neighbor_changes();
+  (void)w.neighbor_counts();
+  ASSERT_EQ(w.neighbor_recounts(), 1u);
   Rng rng(3);
   for (User& u : w.users()) u.set_location(random_point(rng, 2000.0));
   EXPECT_EQ(w.neighbor_counts(), brute_force_counts(w));
-  EXPECT_FALSE(w.take_neighbor_changes().rebuilt);
+  EXPECT_EQ(w.neighbor_recounts(), 1u);
 }
 
 }  // namespace

@@ -266,15 +266,44 @@ inline CampaignRun run(bool reference, model::World world,
   return finish(s);
 }
 
+// Equality of two (possibly huge) serialized witnesses. On a mismatch it
+// reports only the first differing line — its number, the column and both
+// lines, clipped to a window around the column — instead of gtest's full
+// line diff, which on a few-thousand-user world costs gigabytes.
+inline ::testing::AssertionResult same_text(const std::string& expected,
+                                            const std::string& actual) {
+  if (expected == actual) return ::testing::AssertionSuccess();
+  const std::size_t n = std::min(expected.size(), actual.size());
+  std::size_t at = 0;
+  while (at < n && expected[at] == actual[at]) ++at;
+  // The common prefix ends on the same line in both strings.
+  const std::size_t nl = at == 0 ? std::string::npos : expected.rfind('\n', at - 1);
+  const std::size_t start = nl == std::string::npos ? 0 : nl + 1;
+  const long line = 1 + std::count(expected.begin(),
+                                   expected.begin() + static_cast<long>(start),
+                                   '\n');
+  constexpr std::size_t kBefore = 60;
+  constexpr std::size_t kWidth = 160;
+  const std::size_t from = at - std::min(at - start, kBefore);
+  const auto clip = [&](const std::string& text) {
+    const std::size_t end = std::min(text.find('\n', start), text.size());
+    return text.substr(from, std::min(end - from, kWidth));
+  };
+  return ::testing::AssertionFailure()
+         << "first difference at line " << line << ", column "
+         << (at - start + 1) << "\n  expected: " << clip(expected)
+         << "\n  actual:   " << clip(actual);
+}
+
 // Every witness bit-equal, mean_open_reward included. Memo statistics are
 // not compared (the oracle never memoizes; suites that pin them compare
 // them separately).
 inline void expect_bit_identical(const CampaignRun& ref, const CampaignRun& b) {
-  EXPECT_EQ(ref.world_json, b.world_json);
+  EXPECT_TRUE(same_text(ref.world_json, b.world_json)) << "world_json";
   EXPECT_EQ(ref.spent, b.spent);
   EXPECT_EQ(ref.spent_raw, b.spent_raw);
   EXPECT_EQ(ref.spent_comp, b.spent_comp);
-  EXPECT_EQ(ref.events_json, b.events_json);
+  EXPECT_TRUE(same_text(ref.events_json, b.events_json)) << "events_json";
   ASSERT_EQ(ref.rounds.size(), b.rounds.size());
   for (std::size_t k = 0; k < ref.rounds.size(); ++k) {
     EXPECT_EQ(rounds_to_json({ref.rounds[k]}).dump(),
