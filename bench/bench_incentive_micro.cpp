@@ -30,8 +30,12 @@ void* operator new(std::size_t size) {
   if (void* p = std::malloc(size ? size : 1)) return p;
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Both deletes free through one out-of-line function. Inlined into a caller,
+// a bare std::free on a pointer GCC saw come from operator new trips
+// -Wmismatched-new-delete, although this operator new is malloc-backed.
+[[gnu::noinline]] static void release(void* p) noexcept { std::free(p); }
+void operator delete(void* p) noexcept { release(p); }
+void operator delete(void* p, std::size_t) noexcept { release(p); }
 
 namespace {
 

@@ -18,7 +18,7 @@ namespace {
 
 using namespace mcs;
 
-struct Metric {
+struct MetricRow {
   const char* label;
   double sim::CampaignMetrics::* field;
   bool higher_is_better;
@@ -35,7 +35,7 @@ int main(int argc, char** argv) {
   // Collect per-repetition campaign metrics for every mechanism on shared
   // scenario seeds (paired designs reduce variance, but we report the
   // unpaired tests the way an external replication would).
-  const std::vector<Metric> metrics = {
+  const std::vector<MetricRow> metrics = {
       {"completeness %", &sim::CampaignMetrics::completeness_pct, true},
       {"avg measurements", &sim::CampaignMetrics::avg_measurements, true},
       {"meas. variance", &sim::CampaignMetrics::measurement_variance, false},
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
 
   TextTable table({"metric", "baseline", "on-demand mean", "baseline mean",
                    "welch t", "p (welch)", "p (mann-whitney)", "verdict"});
-  for (const Metric& m : metrics) {
+  for (const MetricRow& m : metrics) {
     std::vector<double> on_demand;
     for (const auto& c : runs[0]) on_demand.push_back(c.*(m.field));
     for (std::size_t mi = 1; mi < mechs.size(); ++mi) {

@@ -21,6 +21,9 @@
 # where fork inside a sanitized test binary is awkward; everything else
 # still runs.
 #
+# Each filtered ctest call passes --no-tests=error, so a -R list that test
+# retirements have emptied fails the stage instead of passing silently.
+#
 # Usage: scripts/tier1.sh [--skip-tsan] [--skip-asan] [--skip-release]
 #                         [--skip-crash]
 #   MCS_ASAN=0 in the environment also skips the ASan stage.
@@ -82,7 +85,7 @@ else
   # NeighborCache drives the round-start recount's pooled count pass (up to
   # 4 workers writing disjoint count slots against one shared user grid).
   TSAN_OPTIONS="halt_on_error=1" ctest --test-dir build-tsan --output-on-failure \
-    -R 'ThreadPool|ParallelForEach|ParallelRunner|Determinism|Runner|Simulator|PlanEquivalence|PlanMemoEquivalence|RepriceEquivalence|ShardEquivalence|CommitEquivalence|NeighborCache'
+    --no-tests=error -R 'ThreadPool|ParallelForEach|ParallelRunner|Determinism|Runner|Simulator|PlanEquivalence|PlanMemoEquivalence|RepriceEquivalence|ShardEquivalence|CommitEquivalence|NeighborCache'
 fi
 
 if [[ "${SKIP_ASAN}" == "1" ]]; then
@@ -99,7 +102,7 @@ else
   # buffered commit's segment buffers and row-grouped apply.
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    -R 'Fault|RunnerFailure|Simulator|EventLog|Checkpoint|SerializeWorld|CommitEquivalence' \
+    --no-tests=error -R 'Fault|RunnerFailure|Simulator|EventLog|Checkpoint|SerializeWorld|CommitEquivalence' \
     "${CRASH_EXCLUDE[@]}"
 fi
 
@@ -130,7 +133,7 @@ else
   # column sweep (demand_from_fields) against the per-task demand() and
   # levels_for() oracles.
   ctest --test-dir build-release --output-on-failure -j "${JOBS}" \
-    -R 'DpEquivalence|PruneCandidatesInto|SolverEquivalence|DpSelector|PlanEquivalence|PlanMemo|RepriceEquivalence|OnDemandReprice|SteeredReprice|DemandIndicator|DemandLevel\.|DemandLevelProperty|NeighborCache|BudgetTracker|CheckpointResume|CheckpointEnvelope|ShardEquivalence|CommitEquivalence|FrozenGrid'
+    --no-tests=error -R 'DpEquivalence|PruneCandidatesInto|SolverEquivalence|DpSelector|PlanEquivalence|PlanMemo|RepriceEquivalence|OnDemandReprice|SteeredReprice|DemandIndicator|DemandLevel\.|DemandLevelProperty|NeighborCache|BudgetTracker|CheckpointResume|CheckpointEnvelope|ShardEquivalence|CommitEquivalence|FrozenGrid'
   ./build-release/bench/bench_selector_scaling --benchmark_min_time=0.01 \
     --benchmark_filter='BM_DpSelector/14|BM_GreedySelector/14' >/dev/null
   # The 100k-user round-loop run (shards=1: buffered commit on one worker) and

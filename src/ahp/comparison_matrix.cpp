@@ -26,29 +26,6 @@ ComparisonMatrix ComparisonMatrix::from_upper_triangle(
   return m;
 }
 
-ComparisonMatrix ComparisonMatrix::from_rows(
-    const std::vector<std::vector<double>>& rows) {
-  const std::size_t n = rows.size();
-  ComparisonMatrix m(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    MCS_CHECK(rows[i].size() == n, "comparison matrix must be square");
-    for (std::size_t j = 0; j < n; ++j) {
-      MCS_CHECK(rows[i][j] > 0.0, "comparison matrix entries must be positive");
-      m.cell(i, j) = rows[i][j];
-    }
-  }
-  for (std::size_t i = 0; i < n; ++i) {
-    MCS_CHECK(std::abs(m.cell(i, i) - 1.0) < 1e-9,
-              "comparison matrix diagonal must be 1");
-    for (std::size_t j = i + 1; j < n; ++j) {
-      const double prod = m.cell(i, j) * m.cell(j, i);
-      MCS_CHECK(std::abs(prod - 1.0) < 1e-6,
-                "comparison matrix must be reciprocal");
-    }
-  }
-  return m;
-}
-
 double ComparisonMatrix::at(std::size_t i, std::size_t j) const {
   MCS_CHECK(i < n_ && j < n_, "comparison matrix index out of range");
   return cell(i, j);
@@ -87,40 +64,6 @@ std::vector<double> ComparisonMatrix::multiply(
   return out;
 }
 
-bool ComparisonMatrix::on_saaty_scale(double tol) const {
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      if (i == j) continue;
-      const double v = cell(i, j);
-      const double big = v >= 1.0 ? v : 1.0 / v;
-      bool ok = false;
-      for (int s = 1; s <= 9; ++s) {
-        if (std::abs(big - static_cast<double>(s)) <= tol) {
-          ok = true;
-          break;
-        }
-      }
-      if (!ok) return false;
-    }
-  }
-  return true;
-}
-
-bool ComparisonMatrix::is_consistent(double rel_tol) const {
-  for (std::size_t i = 0; i < n_; ++i) {
-    for (std::size_t j = 0; j < n_; ++j) {
-      for (std::size_t k = 0; k < n_; ++k) {
-        const double lhs = cell(i, k);
-        const double rhs = cell(i, j) * cell(j, k);
-        if (std::abs(lhs - rhs) > rel_tol * std::max(std::abs(lhs), 1.0)) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
 std::string ComparisonMatrix::to_string(int decimals) const {
   std::ostringstream os;
   for (std::size_t i = 0; i < n_; ++i) {
@@ -131,25 +74,6 @@ std::string ComparisonMatrix::to_string(int decimals) const {
     os << '\n';
   }
   return os.str();
-}
-
-ComparisonMatrix aggregate_judgments(
-    const std::vector<ComparisonMatrix>& experts) {
-  MCS_CHECK(!experts.empty(), "need at least one expert judgment");
-  const std::size_t n = experts.front().size();
-  for (const ComparisonMatrix& m : experts) {
-    MCS_CHECK(m.size() == n, "expert matrices must share one size");
-  }
-  ComparisonMatrix out(n);
-  const double inv = 1.0 / static_cast<double>(experts.size());
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = i + 1; j < n; ++j) {
-      double log_sum = 0.0;
-      for (const ComparisonMatrix& m : experts) log_sum += std::log(m.at(i, j));
-      out.set(i, j, std::exp(log_sum * inv));
-    }
-  }
-  return out;
 }
 
 ComparisonMatrix consistent_matrix_from_weights(const std::vector<double>& w) {

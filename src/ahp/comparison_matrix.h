@@ -23,11 +23,6 @@ class ComparisonMatrix {
   static ComparisonMatrix from_upper_triangle(std::size_t n,
                                               const std::vector<double>& upper);
 
-  /// Build from a full matrix; validates positivity and reciprocity
-  /// (within a small relative tolerance).
-  static ComparisonMatrix from_rows(
-      const std::vector<std::vector<double>>& rows);
-
   std::size_t size() const { return n_; }
   double at(std::size_t i, std::size_t j) const;
 
@@ -41,13 +36,6 @@ class ComparisonMatrix {
 
   /// Matrix-vector product A*w.
   std::vector<double> multiply(const std::vector<double>& w) const;
-
-  /// True when every off-diagonal entry (or its reciprocal) lies on Saaty's
-  /// discrete fundamental scale {1..9, 1/2..1/9} within tolerance.
-  bool on_saaty_scale(double tol = 1e-9) const;
-
-  /// True when a(i,k) == a(i,j)*a(j,k) for all i,j,k (perfect consistency).
-  bool is_consistent(double rel_tol = 1e-9) const;
 
   std::string to_string(int decimals = 3) const;
 
@@ -64,11 +52,5 @@ class ComparisonMatrix {
 /// A consistent matrix built from a priority vector: a(i,j) = w_i / w_j.
 /// Useful for testing (its principal eigenvector is exactly w).
 ComparisonMatrix consistent_matrix_from_weights(const std::vector<double>& w);
-
-/// Group decision making: combine several experts' judgments into one
-/// matrix by the element-wise geometric mean — the standard AIJ
-/// (aggregation of individual judgments) rule, the only aggregation that
-/// preserves reciprocity. All matrices must share one size.
-ComparisonMatrix aggregate_judgments(const std::vector<ComparisonMatrix>& experts);
 
 }  // namespace mcs::ahp

@@ -4,7 +4,6 @@
 #include <numeric>
 
 #include "common/error.h"
-#include "common/strings.h"
 
 namespace mcs::ahp {
 
@@ -15,21 +14,6 @@ void normalize_sum(std::vector<double>& v) {
   for (double& x : v) x /= s;
 }
 }  // namespace
-
-WeightMethod parse_weight_method(const std::string& name) {
-  const std::string lower = to_lower(name);
-  if (lower == "row-average" || lower == "row_average" || lower == "avg") {
-    return WeightMethod::kRowAverage;
-  }
-  if (lower == "geometric-mean" || lower == "geometric_mean" ||
-      lower == "geomean") {
-    return WeightMethod::kGeometricMean;
-  }
-  if (lower == "eigenvector" || lower == "eigen" || lower == "power") {
-    return WeightMethod::kEigenvector;
-  }
-  throw Error("unknown AHP weight method: " + name);
-}
 
 const char* weight_method_name(WeightMethod method) {
   switch (method) {

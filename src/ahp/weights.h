@@ -7,7 +7,6 @@
 // For a perfectly consistent matrix all three agree.
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "ahp/comparison_matrix.h"
@@ -16,7 +15,6 @@ namespace mcs::ahp {
 
 enum class WeightMethod { kRowAverage, kGeometricMean, kEigenvector };
 
-WeightMethod parse_weight_method(const std::string& name);
 const char* weight_method_name(WeightMethod method);
 
 /// Row averages of the column-normalized matrix (paper Eq. 6). Sums to 1.

@@ -1,8 +1,5 @@
 #include "common/config.h"
 
-#include <fstream>
-
-#include "common/error.h"
 #include "common/strings.h"
 
 namespace mcs {
@@ -19,29 +16,7 @@ Config Config::from_args(int argc, const char* const* argv) {
       } else {
         cfg.set(body.substr(0, eq), body.substr(eq + 1));
       }
-    } else {
-      cfg.positionals_.push_back(arg);
     }
-  }
-  return cfg;
-}
-
-Config Config::from_file(const std::string& path) {
-  std::ifstream in(path);
-  MCS_CHECK(in.good(), "cannot open config file: " + path);
-  Config cfg;
-  std::string line;
-  int lineno = 0;
-  while (std::getline(in, line)) {
-    ++lineno;
-    const auto hash = line.find('#');
-    if (hash != std::string::npos) line.erase(hash);
-    const std::string t = trim(line);
-    if (t.empty()) continue;
-    const auto eq = t.find('=');
-    MCS_CHECK(eq != std::string::npos,
-              path + ":" + std::to_string(lineno) + ": expected key = value");
-    cfg.set(trim(t.substr(0, eq)), trim(t.substr(eq + 1)));
   }
   return cfg;
 }
@@ -83,31 +58,12 @@ bool Config::get_bool(const std::string& key, bool def) const {
   return parse_bool(it->second);
 }
 
-std::string Config::require_string(const std::string& key) const {
-  MCS_CHECK(has(key), "missing required config key: " + key);
-  return get_string(key, "");
-}
-
-double Config::require_double(const std::string& key) const {
-  MCS_CHECK(has(key), "missing required config key: " + key);
-  return get_double(key, 0.0);
-}
-
-long long Config::require_int(const std::string& key) const {
-  MCS_CHECK(has(key), "missing required config key: " + key);
-  return get_int(key, 0);
-}
-
 std::vector<std::string> Config::unconsumed_keys() const {
   std::vector<std::string> out;
   for (const auto& [k, v] : values_) {
     if (consumed_.count(k) == 0) out.push_back(k);
   }
   return out;
-}
-
-std::vector<std::pair<std::string, std::string>> Config::items() const {
-  return {values_.begin(), values_.end()};
 }
 
 }  // namespace mcs

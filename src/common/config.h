@@ -1,7 +1,7 @@
 // Key=value configuration store with typed accessors.
 //
 // Used by benchmarks and examples to expose every experiment knob as
-// `--key=value` command-line flags and optional `key = value` config files.
+// `--key=value` command-line flags.
 // Unknown keys are kept (callers may probe), but consume-tracking lets a
 // binary warn about flags nothing read.
 #pragma once
@@ -18,11 +18,8 @@ class Config {
   Config() = default;
 
   /// Parse `--key=value` / `--flag` style argv. Non-flag arguments are
-  /// collected as positionals. A bare `--flag` stores "true".
+  /// ignored. A bare `--flag` stores "true".
   static Config from_args(int argc, const char* const* argv);
-
-  /// Parse `key = value` lines; '#' starts a comment; blank lines ignored.
-  static Config from_file(const std::string& path);
 
   void set(const std::string& key, const std::string& value);
   bool has(const std::string& key) const;
@@ -33,22 +30,11 @@ class Config {
   long long get_int(const std::string& key, long long def) const;
   bool get_bool(const std::string& key, bool def) const;
 
-  /// Required variants — throw mcs::Error when the key is missing.
-  std::string require_string(const std::string& key) const;
-  double require_double(const std::string& key) const;
-  long long require_int(const std::string& key) const;
-
-  const std::vector<std::string>& positionals() const { return positionals_; }
-
   /// Keys that were set but never read; useful for flag-typo warnings.
   std::vector<std::string> unconsumed_keys() const;
 
-  /// All key/value pairs (sorted by key), e.g. to echo the configuration.
-  std::vector<std::pair<std::string, std::string>> items() const;
-
  private:
   std::map<std::string, std::string> values_;
-  std::vector<std::string> positionals_;
   mutable std::set<std::string> consumed_;
 };
 

@@ -124,28 +124,4 @@ double mean_of(const std::vector<double>& values) {
   return rs.mean();
 }
 
-Histogram::Histogram(double lo, double hi, std::size_t bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  MCS_CHECK(hi > lo, "histogram: empty range");
-  MCS_CHECK(bins > 0, "histogram: zero bins");
-}
-
-void Histogram::add(double x) {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto idx = static_cast<long long>(std::floor((x - lo_) / width));
-  idx = std::clamp<long long>(idx, 0,
-                              static_cast<long long>(counts_.size()) - 1);
-  ++counts_[static_cast<std::size_t>(idx)];
-  ++total_;
-}
-
-double Histogram::bin_low(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bin_high(std::size_t i) const {
-  return bin_low(i + 1);
-}
-
 }  // namespace mcs

@@ -65,23 +65,4 @@ double population_variance(const std::vector<double>& values);
 /// Arithmetic mean; returns 0 for an empty vector.
 double mean_of(const std::vector<double>& values);
 
-/// Fixed-width histogram over [lo, hi); values outside are clamped into the
-/// first/last bin so totals are preserved.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t bins);
-  void add(double x);
-  std::size_t bin_count(std::size_t i) const { return counts_.at(i); }
-  std::size_t bins() const { return counts_.size(); }
-  std::size_t total() const { return total_; }
-  double bin_low(std::size_t i) const;
-  double bin_high(std::size_t i) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::size_t> counts_;
-  std::size_t total_ = 0;
-};
-
 }  // namespace mcs

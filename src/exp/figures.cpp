@@ -116,7 +116,6 @@ ExperimentConfig experiment_from_config(const Config& cfg) {
   f.abandon_prob = cfg.get_double("abandon", f.abandon_prob);
   f.upload_loss_prob = cfg.get_double("loss", f.upload_loss_prob);
   f.corruption_prob = cfg.get_double("corrupt", f.corruption_prob);
-  f.corruption_noise = cfg.get_double("corrupt-noise", f.corruption_noise);
   f.withdraw_prob = cfg.get_double("withdraw", f.withdraw_prob);
   f.seed = static_cast<std::uint64_t>(cfg.get_int("fault-seed", 0));
   f.validate();

@@ -22,8 +22,8 @@ namespace mcs::exp {
 /// absent — results are bit-identical whatever the value), plan-threads
 /// (per-simulator planning workers, default 1/MCS_PLAN_THREADS; likewise
 /// bit-identical at any value), and the
-/// fault-injection rates dropout, abandon, loss, corrupt, corrupt-noise,
-/// withdraw, fault-seed (see sim/faults.h; all default to zero faults).
+/// fault-injection rates dropout, abandon, loss, corrupt, withdraw,
+/// fault-seed (see sim/faults.h; all default to zero faults).
 ExperimentConfig experiment_from_config(const Config& cfg);
 
 /// The "users 40..140 step 20" x-axis of Figs. 6–9, overridable with

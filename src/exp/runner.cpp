@@ -114,7 +114,6 @@ Json repetition_provenance(const ExperimentConfig& cfg, std::uint64_t seed,
   f["abandon_prob"] = Json(cfg.faults.abandon_prob);
   f["upload_loss_prob"] = Json(cfg.faults.upload_loss_prob);
   f["corruption_prob"] = Json(cfg.faults.corruption_prob);
-  f["corruption_noise"] = Json(cfg.faults.corruption_noise);
   f["withdraw_prob"] = Json(cfg.faults.withdraw_prob);
   std::snprintf(hex, sizeof(hex), "%016llx",
                 static_cast<unsigned long long>(cfg.faults.seed));

@@ -1,63 +1,12 @@
 #include "geo/distance.h"
 
-#include <cmath>
-
-#include "common/error.h"
-#include "common/strings.h"
-
 namespace mcs::geo {
-
-namespace {
-constexpr double kEarthRadiusMeters = 6371008.8;  // IUGG mean radius
-constexpr double kDegToRad = M_PI / 180.0;
-}  // namespace
 
 double euclidean(Point a, Point b) { return norm(a - b); }
 
 double squared_euclidean(Point a, Point b) {
   const Point d = a - b;
   return dot(d, d);
-}
-
-double manhattan(Point a, Point b) {
-  return std::abs(a.x - b.x) + std::abs(a.y - b.y);
-}
-
-double haversine(Point a, Point b) {
-  const double lat1 = a.y * kDegToRad;
-  const double lat2 = b.y * kDegToRad;
-  const double dlat = (b.y - a.y) * kDegToRad;
-  const double dlon = (b.x - a.x) * kDegToRad;
-  const double s1 = std::sin(dlat / 2.0);
-  const double s2 = std::sin(dlon / 2.0);
-  const double h = s1 * s1 + std::cos(lat1) * std::cos(lat2) * s2 * s2;
-  return 2.0 * kEarthRadiusMeters * std::asin(std::min(1.0, std::sqrt(h)));
-}
-
-double distance(Point a, Point b, Metric metric) {
-  switch (metric) {
-    case Metric::kEuclidean: return euclidean(a, b);
-    case Metric::kManhattan: return manhattan(a, b);
-    case Metric::kHaversine: return haversine(a, b);
-  }
-  throw Error("distance: unknown metric");
-}
-
-Metric parse_metric(const std::string& name) {
-  const std::string lower = to_lower(name);
-  if (lower == "euclidean" || lower == "l2") return Metric::kEuclidean;
-  if (lower == "manhattan" || lower == "l1") return Metric::kManhattan;
-  if (lower == "haversine" || lower == "geo") return Metric::kHaversine;
-  throw Error("unknown distance metric: " + name);
-}
-
-const char* metric_name(Metric metric) {
-  switch (metric) {
-    case Metric::kEuclidean: return "euclidean";
-    case Metric::kManhattan: return "manhattan";
-    case Metric::kHaversine: return "haversine";
-  }
-  return "?";
 }
 
 }  // namespace mcs::geo

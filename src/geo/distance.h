@@ -1,31 +1,13 @@
-// Distance metrics between 2-D points.
+// Distance between 2-D points.
 //
-// The paper's cost model is proportional to traveled distance; Euclidean is
-// the default. Manhattan models grid-like street networks, and haversine is
-// provided for callers feeding real latitude/longitude traces (degrees in
-// Point::x = longitude, Point::y = latitude).
+// The paper's cost model is proportional to straight-line traveled distance.
 #pragma once
-
-#include <string>
 
 #include "geo/point.h"
 
 namespace mcs::geo {
 
-enum class Metric { kEuclidean, kManhattan, kHaversine };
-
 double euclidean(Point a, Point b);
 double squared_euclidean(Point a, Point b);
-double manhattan(Point a, Point b);
-
-/// Great-circle distance in meters between (lon, lat) degree pairs.
-double haversine(Point lonlat_a, Point lonlat_b);
-
-/// Dispatch on metric.
-double distance(Point a, Point b, Metric metric);
-
-/// Parse "euclidean" / "manhattan" / "haversine" (case-insensitive).
-Metric parse_metric(const std::string& name);
-const char* metric_name(Metric metric);
 
 }  // namespace mcs::geo

@@ -1,4 +1,4 @@
-// Polyline paths and the travel model.
+// The travel model.
 //
 // A user performing a set of location-dependent tasks walks a simple path
 // from its start location through the task locations; the paper charges time
@@ -6,17 +6,9 @@
 // the traveled distance.
 #pragma once
 
-#include <vector>
-
 #include "common/types.h"
-#include "geo/distance.h"
-#include "geo/point.h"
 
 namespace mcs::geo {
-
-/// Total length of the polyline visiting `points` in order.
-double path_length(const std::vector<Point>& points,
-                   Metric metric = Metric::kEuclidean);
 
 /// Travel model: constant walking speed and per-meter monetary cost, as in
 /// the paper's evaluation (2 m/s and 0.002 $/m).
@@ -28,9 +20,5 @@ struct TravelModel {
   Money cost_for(Meters d) const { return d * cost_per_meter; }
   Meters distance_within(Seconds t) const { return t * speed_mps; }
 };
-
-/// Point reached after walking `dist` meters along the polyline; clamps to
-/// the final vertex when dist exceeds the path length.
-Point point_along(const std::vector<Point>& points, double dist);
 
 }  // namespace mcs::geo

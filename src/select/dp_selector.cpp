@@ -57,13 +57,6 @@ void prune_candidates_into(const SelectionInstance& instance, int cap,
   kept.resize(idx.size());
 }
 
-SelectionInstance prune_candidates(const SelectionInstance& instance,
-                                   int cap) {
-  SelectionInstance pruned = instance;
-  prune_candidates_into(instance, cap, pruned.candidates);
-  return pruned;
-}
-
 Selection DpSelector::select(const SelectionInstance& instance) const {
   prune_candidates_into(instance, candidate_cap_, kept_);
   const std::size_t m = kept_.size();

@@ -81,11 +81,8 @@ class DpSelector final : public TaskSelector {
 
 /// Drop candidates that cannot be reached within the budget at all, then, if
 /// still above `cap`, keep the `cap` best by reward - cost(direct distance).
-/// Exposed for tests and for other exact solvers.
-SelectionInstance prune_candidates(const SelectionInstance& instance, int cap);
-
-/// Allocation-free core of prune_candidates: writes the kept candidates
-/// (original relative order) into `kept`.
+/// Writes the kept candidates (original relative order) into `kept` without
+/// allocating once `kept` has grown. Exposed for tests.
 void prune_candidates_into(const SelectionInstance& instance, int cap,
                            std::vector<Candidate>& kept);
 

@@ -54,7 +54,6 @@ Json params_to_json(const SimulatorParams& p) {
   faults["abandon_prob"] = Json(p.faults.abandon_prob);
   faults["upload_loss_prob"] = Json(p.faults.upload_loss_prob);
   faults["corruption_prob"] = Json(p.faults.corruption_prob);
-  faults["corruption_noise"] = Json(p.faults.corruption_noise);
   faults["withdraw_prob"] = Json(p.faults.withdraw_prob);
   faults["seed"] = Json(hex_u64(p.faults.seed));
   o["faults"] = Json(std::move(faults));
@@ -83,9 +82,10 @@ SimulatorParams params_from_json(const Json& j) {
   p.faults.abandon_prob = jf.at("abandon_prob").as_number();
   p.faults.upload_loss_prob = jf.at("upload_loss_prob").as_number();
   p.faults.corruption_prob = jf.at("corruption_prob").as_number();
-  p.faults.corruption_noise = jf.at("corruption_noise").as_number();
   p.faults.withdraw_prob = jf.at("withdraw_prob").as_number();
   p.faults.seed = u64_from_hex(jf.at("seed").as_string());
+  // Payloads written while corrupted readings carried a noise knob may hold
+  // a "corruption_noise" key; no campaign ever read it, so it is ignored.
   p.faults.validate();
   p.plan_threads = static_cast<int>(j.at("plan_threads").as_int());
   MCS_CHECK(p.plan_threads >= 0, "plan_threads must be non-negative");

@@ -5,7 +5,7 @@
 // be replayed measurement by measurement.
 #pragma once
 
-#include <iosfwd>
+#include <utility>
 #include <vector>
 
 #include "common/types.h"
@@ -21,8 +21,8 @@ struct SensingEvent {
   // False when the upload was lost in transit: the user walked the leg but
   // the platform received nothing — no payment, no task progress.
   bool accepted = true;
-  // True when the accepted reading was corrupted (extra sensor noise). The
-  // platform cannot tell; the trace keeps the ground truth.
+  // True when the accepted reading was corrupted. The platform cannot tell;
+  // the trace keeps the ground truth.
   bool corrupted = false;
 };
 
@@ -31,20 +31,12 @@ class EventLog {
   explicit EventLog(bool enabled = false) : enabled_(enabled) {}
 
   bool enabled() const { return enabled_; }
-  void record(const SensingEvent& e);
+  void record(const SensingEvent& e) {
+    if (enabled_) events_.push_back(e);
+  }
 
   const std::vector<SensingEvent>& events() const { return events_; }
   std::size_t size() const { return events_.size(); }
-
-  /// Events of one round, in delivery order.
-  std::vector<SensingEvent> round_events(Round k) const;
-
-  /// Accepted events only (the measurements the platform actually has).
-  std::vector<SensingEvent> accepted_events() const;
-
-  /// Write a CSV dump (round,user,task,reward,leg_distance,accepted,
-  /// corrupted).
-  void write_csv(std::ostream& out) const;
 
   /// Replace the trace with a checkpointed one (resume path). Keeps the
   /// enabled flag: a disabled log stays empty and a restored-then-resumed

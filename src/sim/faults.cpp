@@ -14,7 +14,6 @@ constexpr std::uint64_t kAbandonKind = 0x94d049bb133111ebULL;
 constexpr std::uint64_t kAbandonLegKind = 0xd6e8feb86659fd93ULL;
 constexpr std::uint64_t kLossKind = 0xa0761d6478bd642fULL;
 constexpr std::uint64_t kCorruptKind = 0xe7037ed1a0b428dbULL;
-constexpr std::uint64_t kNoiseKind = 0x8ebc6af09c88c6e3ULL;
 
 void check_prob(double p, const char* what) {
   MCS_CHECK(p >= 0.0 && p <= 1.0, std::string(what) + " must be in [0, 1]");
@@ -33,7 +32,6 @@ void FaultPlan::validate() const {
   check_prob(upload_loss_prob, "upload_loss_prob");
   check_prob(corruption_prob, "corruption_prob");
   check_prob(withdraw_prob, "withdraw_prob");
-  MCS_CHECK(corruption_noise >= 0.0, "corruption_noise must be >= 0");
 }
 
 FaultInjector::FaultInjector(const FaultPlan& plan, std::uint64_t campaign_seed)
@@ -88,17 +86,6 @@ bool FaultInjector::corrupt_upload(UserId user, TaskId task, Round k) const {
       static_cast<std::uint64_t>(task);
   return unit_draw(kCorruptKind, cell, static_cast<std::uint64_t>(k)) <
          plan_.corruption_prob;
-}
-
-double FaultInjector::corrupt_reading(double reading, UserId user, TaskId task,
-                                      Round k) const {
-  const std::uint64_t cell =
-      static_cast<std::uint64_t>(user) * 0x100000001b3ULL +
-      static_cast<std::uint64_t>(task);
-  SplitMix64 sm(seed_ ^ (kNoiseKind * (cell + 1)) ^
-                static_cast<std::uint64_t>(k));
-  Rng rng(sm.next());
-  return reading + rng.normal(0.0, plan_.corruption_noise);
 }
 
 }  // namespace mcs::sim

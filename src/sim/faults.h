@@ -31,7 +31,6 @@ struct FaultPlan {
   double abandon_prob = 0.0;      // P[tour abandoned after a random prefix]
   double upload_loss_prob = 0.0;  // P[one delivered measurement is lost]
   double corruption_prob = 0.0;   // P[an accepted reading is corrupted]
-  double corruption_noise = 3.0;  // extra noise stddev on corrupted readings
   double withdraw_prob = 0.0;     // P[open task glitched out of one round]
   // Stream id mixed with the campaign seed: two plans with equal rates but
   // different seeds fault different (user, round) pairs.
@@ -40,8 +39,7 @@ struct FaultPlan {
   /// True when any rate is positive (the injector has work to do).
   bool any() const;
 
-  /// Throws mcs::Error unless every probability is in [0, 1] and the
-  /// corruption noise is non-negative.
+  /// Throws mcs::Error unless every probability is in [0, 1].
   void validate() const;
 };
 
@@ -78,14 +76,10 @@ class FaultInjector {
   /// the leg was walked but the platform receives nothing.
   bool lose_upload(UserId user, TaskId task, Round k) const;
 
-  /// The accepted measurement is corrupted (the platform cannot tell; the
-  /// event trace records it for ground-truth analyses).
+  /// The accepted measurement is corrupted. The platform cannot tell: it
+  /// pays as usual, and the campaign only counts the corruption
+  /// (`corrupted_measurements`, and the event trace's `corrupted` flag).
   bool corrupt_upload(UserId user, TaskId task, Round k) const;
-
-  /// Corruption model for the sensing substrate: the reading plus fresh
-  /// N(0, corruption_noise) noise drawn from the (user, task, round) cell.
-  double corrupt_reading(double reading, UserId user, TaskId task,
-                         Round k) const;
 
  private:
   /// Uniform [0, 1) draw for one (kind, a, b) cell.

@@ -1,4 +1,4 @@
-// Metric definitions used throughout §VI of the paper.
+// The metrics used throughout §VI of the paper.
 //
 //  * coverage           — % of tasks with at least one measurement (spatial
 //                         popularity balance, Fig. 6)

@@ -5,7 +5,6 @@
 #include <numeric>
 
 #include "common/error.h"
-#include "common/strings.h"
 
 namespace mcs::sim {
 
@@ -26,16 +25,6 @@ std::vector<SensorProfile> draw_sensor_population(std::size_t num_users,
 
 double sense(double truth, const SensorProfile& sensor, Rng& rng) {
   return truth + sensor.bias + rng.normal(0.0, sensor.noise_stddev);
-}
-
-Aggregator parse_aggregator(const std::string& name) {
-  const std::string lower = to_lower(name);
-  if (lower == "mean" || lower == "average") return Aggregator::kMean;
-  if (lower == "median") return Aggregator::kMedian;
-  if (lower == "trimmed" || lower == "trimmed-mean") {
-    return Aggregator::kTrimmedMean;
-  }
-  throw Error("unknown aggregator: " + name);
 }
 
 const char* aggregator_name(Aggregator a) {

@@ -8,7 +8,6 @@
 // steered baseline's diminishing-returns quality curve Q(x).
 #pragma once
 
-#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -36,7 +35,6 @@ double sense(double truth, const SensorProfile& sensor, Rng& rng);
 
 enum class Aggregator { kMean, kMedian, kTrimmedMean };
 
-Aggregator parse_aggregator(const std::string& name);
 const char* aggregator_name(Aggregator a);
 
 /// Aggregate readings into one estimate. kTrimmedMean drops the top and

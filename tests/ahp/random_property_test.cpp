@@ -95,25 +95,5 @@ TEST(ConsistencyRatio, GrowsWithPerturbation) {
   EXPECT_GT(prev_cr, 0.1);  // an 8x corruption must be rejected
 }
 
-TEST(RankingInvariance, DominantCriterionStaysFirstUnderAggregation) {
-  // Group aggregation of judgments that all rank criterion 0 first keeps
-  // it first (geometric mean preserves unanimous order).
-  Rng rng(404);
-  for (int trial = 0; trial < 20; ++trial) {
-    std::vector<ComparisonMatrix> experts;
-    for (int e = 0; e < 3; ++e) {
-      ComparisonMatrix m(3);
-      m.set(0, 1, static_cast<double>(rng.uniform_int(2, 9)));
-      m.set(0, 2, static_cast<double>(rng.uniform_int(2, 9)));
-      const double v = static_cast<double>(rng.uniform_int(1, 9));
-      m.set(1, 2, rng.bernoulli(0.5) ? v : 1.0 / v);
-      experts.push_back(std::move(m));
-    }
-    const auto w = row_average_weights(aggregate_judgments(experts));
-    EXPECT_GT(w[0], w[1]);
-    EXPECT_GT(w[0], w[2]);
-  }
-}
-
 }  // namespace
 }  // namespace mcs::ahp

@@ -2,9 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
-
 #include "common/error.h"
 
 namespace mcs {
@@ -27,11 +24,12 @@ TEST(Config, BareFlagIsTrue) {
   EXPECT_TRUE(c.get_bool("verbose", false));
 }
 
-TEST(Config, PositionalsCollected) {
+TEST(Config, NonFlagArgumentsIgnored) {
   const Config c = parse({"input.txt", "--k=1", "other"});
-  ASSERT_EQ(c.positionals().size(), 2u);
-  EXPECT_EQ(c.positionals()[0], "input.txt");
-  EXPECT_EQ(c.positionals()[1], "other");
+  EXPECT_FALSE(c.has("input.txt"));
+  EXPECT_FALSE(c.has("other"));
+  EXPECT_EQ(c.get_int("k", 0), 1);
+  EXPECT_TRUE(c.unconsumed_keys().empty());
 }
 
 TEST(Config, DefaultsWhenMissing) {
@@ -40,20 +38,6 @@ TEST(Config, DefaultsWhenMissing) {
   EXPECT_DOUBLE_EQ(c.get_double("lambda", 0.5), 0.5);
   EXPECT_EQ(c.get_string("name", "x"), "x");
   EXPECT_FALSE(c.get_bool("flag", false));
-}
-
-TEST(Config, RequireThrowsWhenMissing) {
-  const Config c = parse({});
-  EXPECT_THROW(c.require_string("missing"), Error);
-  EXPECT_THROW(c.require_int("missing"), Error);
-  EXPECT_THROW(c.require_double("missing"), Error);
-}
-
-TEST(Config, RequireReturnsValue) {
-  const Config c = parse({"--x=7", "--y=1.5", "--z=abc"});
-  EXPECT_EQ(c.require_int("x"), 7);
-  EXPECT_DOUBLE_EQ(c.require_double("y"), 1.5);
-  EXPECT_EQ(c.require_string("z"), "abc");
 }
 
 TEST(Config, UnconsumedTracking) {
@@ -72,43 +56,6 @@ TEST(Config, LastFlagWins) {
 TEST(Config, MalformedNumberThrows) {
   const Config c = parse({"--n=12x"});
   EXPECT_THROW(c.get_int("n", 0), Error);
-}
-
-TEST(ConfigFile, ParsesFileWithComments) {
-  const std::string path = ::testing::TempDir() + "/mcs_config_test.cfg";
-  {
-    std::ofstream out(path);
-    out << "# a comment\n"
-        << "users = 80\n"
-        << "\n"
-        << "mechanism = steered # trailing comment\n";
-  }
-  const Config c = Config::from_file(path);
-  EXPECT_EQ(c.get_int("users", 0), 80);
-  EXPECT_EQ(c.get_string("mechanism", ""), "steered");
-  std::remove(path.c_str());
-}
-
-TEST(ConfigFile, MissingFileThrows) {
-  EXPECT_THROW(Config::from_file("/nonexistent/nope.cfg"), Error);
-}
-
-TEST(ConfigFile, MalformedLineThrows) {
-  const std::string path = ::testing::TempDir() + "/mcs_config_bad.cfg";
-  {
-    std::ofstream out(path);
-    out << "this line has no equals sign\n";
-  }
-  EXPECT_THROW(Config::from_file(path), Error);
-  std::remove(path.c_str());
-}
-
-TEST(Config, ItemsSortedByKey) {
-  const Config c = parse({"--b=2", "--a=1"});
-  const auto items = c.items();
-  ASSERT_EQ(items.size(), 2u);
-  EXPECT_EQ(items[0].first, "a");
-  EXPECT_EQ(items[1].first, "b");
 }
 
 }  // namespace

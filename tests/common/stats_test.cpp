@@ -165,25 +165,5 @@ TEST(MeanOf, Basics) {
   EXPECT_DOUBLE_EQ(mean_of({}), 0.0);
 }
 
-TEST(Histogram, BinningAndClamping) {
-  Histogram h(0.0, 10.0, 5);
-  h.add(0.5);    // bin 0
-  h.add(9.9);    // bin 4
-  h.add(-3.0);   // clamped to bin 0
-  h.add(42.0);   // clamped to bin 4
-  h.add(5.0);    // bin 2 (left edge of [4,6))
-  EXPECT_EQ(h.total(), 5u);
-  EXPECT_EQ(h.bin_count(0), 2u);
-  EXPECT_EQ(h.bin_count(2), 1u);
-  EXPECT_EQ(h.bin_count(4), 2u);
-  EXPECT_DOUBLE_EQ(h.bin_low(2), 4.0);
-  EXPECT_DOUBLE_EQ(h.bin_high(2), 6.0);
-}
-
-TEST(Histogram, RejectsBadConstruction) {
-  EXPECT_THROW(Histogram(1.0, 1.0, 4), Error);
-  EXPECT_THROW(Histogram(0.0, 1.0, 0), Error);
-}
-
 }  // namespace
 }  // namespace mcs

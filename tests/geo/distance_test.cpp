@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
 #include "common/rng.h"
 
 namespace mcs::geo {
@@ -14,56 +13,17 @@ TEST(Distance, Euclidean) {
   EXPECT_DOUBLE_EQ(squared_euclidean({0, 0}, {3, 4}), 25.0);
 }
 
-TEST(Distance, Manhattan) {
-  EXPECT_DOUBLE_EQ(manhattan({0, 0}, {3, 4}), 7.0);
-  EXPECT_DOUBLE_EQ(manhattan({-1, -1}, {1, 1}), 4.0);
-}
-
-TEST(Distance, HaversineKnownPairs) {
-  // Paris (2.3522 E, 48.8566 N) to London (-0.1276 E, 51.5072 N): ~344 km.
-  const double d = haversine({2.3522, 48.8566}, {-0.1276, 51.5072});
-  EXPECT_NEAR(d, 344000.0, 4000.0);
-  // Same point: zero.
-  EXPECT_DOUBLE_EQ(haversine({10, 20}, {10, 20}), 0.0);
-  // One degree of latitude: ~111.2 km.
-  EXPECT_NEAR(haversine({0, 0}, {0, 1}), 111200.0, 500.0);
-}
-
 TEST(Distance, MetricProperties) {
-  // Symmetry + triangle inequality on random triples (Euclidean and
-  // Manhattan).
+  // Symmetry + triangle inequality on random triples.
   Rng rng(21);
   for (int i = 0; i < 200; ++i) {
     const Point a{rng.uniform(-100, 100), rng.uniform(-100, 100)};
     const Point b{rng.uniform(-100, 100), rng.uniform(-100, 100)};
     const Point c{rng.uniform(-100, 100), rng.uniform(-100, 100)};
-    for (const Metric m : {Metric::kEuclidean, Metric::kManhattan}) {
-      EXPECT_DOUBLE_EQ(distance(a, b, m), distance(b, a, m));
-      EXPECT_LE(distance(a, c, m), distance(a, b, m) + distance(b, c, m) + 1e-9);
-      EXPECT_GE(distance(a, b, m), 0.0);
-    }
+    EXPECT_DOUBLE_EQ(euclidean(a, b), euclidean(b, a));
+    EXPECT_LE(euclidean(a, c), euclidean(a, b) + euclidean(b, c) + 1e-9);
+    EXPECT_GE(euclidean(a, b), 0.0);
   }
-}
-
-TEST(Distance, EuclideanNeverExceedsManhattan) {
-  Rng rng(22);
-  for (int i = 0; i < 200; ++i) {
-    const Point a{rng.uniform(-10, 10), rng.uniform(-10, 10)};
-    const Point b{rng.uniform(-10, 10), rng.uniform(-10, 10)};
-    EXPECT_LE(euclidean(a, b), manhattan(a, b) + 1e-12);
-  }
-}
-
-TEST(Distance, ParseAndName) {
-  EXPECT_EQ(parse_metric("euclidean"), Metric::kEuclidean);
-  EXPECT_EQ(parse_metric("L2"), Metric::kEuclidean);
-  EXPECT_EQ(parse_metric("manhattan"), Metric::kManhattan);
-  EXPECT_EQ(parse_metric("l1"), Metric::kManhattan);
-  EXPECT_EQ(parse_metric("haversine"), Metric::kHaversine);
-  EXPECT_THROW(parse_metric("chebyshev"), Error);
-  EXPECT_STREQ(metric_name(Metric::kEuclidean), "euclidean");
-  EXPECT_STREQ(metric_name(Metric::kManhattan), "manhattan");
-  EXPECT_STREQ(metric_name(Metric::kHaversine), "haversine");
 }
 
 }  // namespace

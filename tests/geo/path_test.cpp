@@ -2,21 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "common/error.h"
-
 namespace mcs::geo {
 namespace {
-
-TEST(PathLength, Basics) {
-  EXPECT_DOUBLE_EQ(path_length({}), 0.0);
-  EXPECT_DOUBLE_EQ(path_length({{1, 1}}), 0.0);
-  EXPECT_DOUBLE_EQ(path_length({{0, 0}, {3, 4}}), 5.0);
-  EXPECT_DOUBLE_EQ(path_length({{0, 0}, {3, 4}, {3, 0}}), 9.0);
-}
-
-TEST(PathLength, ManhattanMetric) {
-  EXPECT_DOUBLE_EQ(path_length({{0, 0}, {3, 4}}, Metric::kManhattan), 7.0);
-}
 
 TEST(TravelModel, PaperDefaults) {
   const TravelModel t;
@@ -30,26 +17,6 @@ TEST(TravelModel, PaperDefaults) {
 TEST(TravelModel, TimeAndDistanceAreInverses) {
   const TravelModel t{1.5, 0.01};
   EXPECT_DOUBLE_EQ(t.distance_within(t.time_for(123.0)), 123.0);
-}
-
-TEST(PointAlong, WalksTheSegments) {
-  const std::vector<Point> path{{0, 0}, {10, 0}, {10, 10}};
-  EXPECT_EQ(point_along(path, 0.0), (Point{0, 0}));
-  EXPECT_EQ(point_along(path, 5.0), (Point{5, 0}));
-  EXPECT_EQ(point_along(path, 10.0), (Point{10, 0}));
-  EXPECT_EQ(point_along(path, 15.0), (Point{10, 5}));
-  EXPECT_EQ(point_along(path, 20.0), (Point{10, 10}));
-  EXPECT_EQ(point_along(path, 999.0), (Point{10, 10}));  // clamps to end
-}
-
-TEST(PointAlong, DegenerateSegments) {
-  const std::vector<Point> path{{5, 5}, {5, 5}, {6, 5}};
-  EXPECT_EQ(point_along(path, 0.5), (Point{5.5, 5}));
-}
-
-TEST(PointAlong, Errors) {
-  EXPECT_THROW(point_along({}, 1.0), Error);
-  EXPECT_THROW(point_along({{0, 0}}, -1.0), Error);
 }
 
 }  // namespace

@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
-
 #include "common/error.h"
 #include "common/rng.h"
 #include "geo/distance.h"
@@ -111,27 +109,30 @@ TEST(DpSelector, CapValidation) {
 TEST(PruneCandidates, DropsUnreachable) {
   auto inst = basic(100.0);  // 200 m budget
   inst.candidates = {{0, {150, 0}, 1.0}, {1, {500, 0}, 9.0}};
-  const auto pruned = prune_candidates(inst, 10);
-  ASSERT_EQ(pruned.candidates.size(), 1u);
-  EXPECT_EQ(pruned.candidates[0].task, 0);
+  std::vector<Candidate> kept;
+  prune_candidates_into(inst, 10, kept);
+  ASSERT_EQ(kept.size(), 1u);
+  EXPECT_EQ(kept[0].task, 0);
 }
 
 TEST(PruneCandidates, KeepsBestBySoloProfit) {
   auto inst = basic(10000.0);
   // Task 1 has the best solo profit, task 2 the worst.
   inst.candidates = {{0, {500, 0}, 1.5}, {1, {100, 0}, 2.5}, {2, {900, 0}, 1.0}};
-  const auto pruned = prune_candidates(inst, 2);
-  ASSERT_EQ(pruned.candidates.size(), 2u);
-  std::vector<TaskId> kept{pruned.candidates[0].task, pruned.candidates[1].task};
-  std::sort(kept.begin(), kept.end());
-  EXPECT_EQ(kept, (std::vector<TaskId>{0, 1}));
+  std::vector<Candidate> kept;
+  prune_candidates_into(inst, 2, kept);
+  ASSERT_EQ(kept.size(), 2u);
+  // Kept candidates stay in their original relative order.
+  EXPECT_EQ(kept[0].task, 0);
+  EXPECT_EQ(kept[1].task, 1);
 }
 
 TEST(PruneCandidates, NoopWhenUnderCap) {
   auto inst = basic();
   inst.candidates = {{0, {10, 0}, 1.0}};
-  const auto pruned = prune_candidates(inst, 5);
-  EXPECT_EQ(pruned.candidates.size(), 1u);
+  std::vector<Candidate> kept;
+  prune_candidates_into(inst, 5, kept);
+  EXPECT_EQ(kept.size(), 1u);
 }
 
 TEST(DpSelector, ZeroBudgetSelectsNothing) {

@@ -249,6 +249,26 @@ TEST(CheckpointResume, PayloadWithoutPhaseSecondsDecodesWithZeros) {
   EXPECT_EQ(back.next_round, 2);
 }
 
+// Corrupted readings once carried a noise knob that no campaign read. A
+// fresh payload omits its key; an older payload that still carries it
+// decodes to exactly the params of one without it.
+TEST(CheckpointResume, CorruptionNoiseKeyOmittedAndIgnored) {
+  Simulator s = make_simulator(incentive::MechanismKind::kOnDemand, true, 1,
+                               false);
+  s.step();
+  const Json fresh = checkpoint_to_json(s.checkpoint());
+  ASSERT_TRUE(fresh.at("params").has("faults"));
+  EXPECT_FALSE(fresh.at("params").at("faults").has("corruption_noise"));
+
+  Json legacy = fresh;
+  legacy["params"]["faults"]["corruption_noise"] = Json(3.0);
+  const CampaignCheckpoint back = checkpoint_from_json(legacy);
+  EXPECT_EQ(checkpoint_to_json(back).at("params"), fresh.at("params"));
+  EXPECT_EQ(back.params.faults.corruption_prob,
+            stress_faults().corruption_prob);
+  EXPECT_EQ(back.params.faults.seed, stress_faults().seed);
+}
+
 // A golden payload written before the per-user commit knob was retired:
 // on-demand, stress faults, DP, checkpointed after round 3, with
 // "legacy_commit": true in its params. Decoding must ignore the key — with
@@ -266,6 +286,7 @@ TEST(CheckpointResume, LegacyCommitPayloadResumesBitIdentical) {
 
   Json payload = Json::parse(bytes.substr(bytes.find('\n') + 1));
   ASSERT_TRUE(payload.at("params").at("legacy_commit").as_bool());
+  ASSERT_TRUE(payload.at("params").at("faults").has("corruption_noise"));
   for (const bool flag : {true, false}) {
     SCOPED_TRACE(flag ? "legacy_commit=true" : "legacy_commit=false");
     payload["params"]["legacy_commit"] = Json(flag);
@@ -295,11 +316,14 @@ TEST(CheckpointResume, SteeredPayloadWithMobilityRngResumesBitIdentical) {
                           std::istreambuf_iterator<char>());
   const Json payload = Json::parse(bytes.substr(bytes.find('\n') + 1));
   ASSERT_TRUE(payload.has("mobility_rng"));
+  ASSERT_TRUE(payload.at("params").at("faults").has("corruption_noise"));
   ASSERT_EQ(payload.at("mechanism").as_string(), "steered");
 
   const CampaignCheckpoint ckpt = decode_checkpoint(bytes);
   EXPECT_EQ(ckpt.next_round, 4);
   EXPECT_FALSE(checkpoint_to_json(ckpt).has("mobility_rng"));
+  EXPECT_FALSE(
+      checkpoint_to_json(ckpt).at("params").at("faults").has("corruption_noise"));
   Simulator s = Simulator::resume(
       ckpt, fresh_mechanism(incentive::MechanismKind::kSteered),
       select::make_selector(select::SelectorKind::kDp, 14));

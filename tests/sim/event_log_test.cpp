@@ -2,8 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 namespace mcs::sim {
 namespace {
 
@@ -25,49 +23,12 @@ TEST(EventLog, EnabledLogKeepsOrder) {
   EXPECT_EQ(log.events()[2].round, 2);
 }
 
-TEST(EventLog, RoundFilter) {
-  EventLog log(true);
-  log.record({1, 0, 0, 1.0, 1.0});
-  log.record({2, 1, 1, 1.0, 1.0});
-  log.record({2, 2, 2, 1.0, 1.0});
-  EXPECT_EQ(log.round_events(1).size(), 1u);
-  EXPECT_EQ(log.round_events(2).size(), 2u);
-  EXPECT_TRUE(log.round_events(3).empty());
-}
-
-TEST(EventLog, CsvDump) {
-  EventLog log(true);
-  log.record({1, 5, 7, 1.25, 42.5});
-  log.record({2, 6, 8, 0.0, 10.0, /*accepted=*/false});
-  log.record({2, 6, 9, 2.0, 5.0, /*accepted=*/true, /*corrupted=*/true});
-  std::ostringstream os;
-  log.write_csv(os);
-  EXPECT_EQ(os.str(),
-            "round,user,task,reward,leg_distance,accepted,corrupted\n"
-            "1,5,7,1.2500,42.50,1,0\n"
-            "2,6,8,0.0000,10.00,0,0\n"
-            "2,6,9,2.0000,5.00,1,1\n");
-}
-
 TEST(EventLog, EventsDefaultToAcceptedAndClean) {
   EventLog log(true);
   log.record({1, 5, 7, 1.25, 42.5});
   ASSERT_EQ(log.size(), 1u);
   EXPECT_TRUE(log.events()[0].accepted);
   EXPECT_FALSE(log.events()[0].corrupted);
-}
-
-TEST(EventLog, AcceptedEventsFiltersLostUploads) {
-  EventLog log(true);
-  log.record({1, 0, 0, 1.0, 1.0});
-  log.record({1, 1, 0, 0.0, 1.0, /*accepted=*/false});
-  log.record({2, 2, 1, 1.0, 1.0});
-  const auto accepted = log.accepted_events();
-  ASSERT_EQ(accepted.size(), 2u);
-  EXPECT_EQ(accepted[0].user, 0);
-  EXPECT_EQ(accepted[1].user, 2);
-  // The raw log keeps every attempt for replay.
-  EXPECT_EQ(log.size(), 3u);
 }
 
 }  // namespace
