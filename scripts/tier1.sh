@@ -122,10 +122,15 @@ else
   # CheckpointResume joins the -O3 net: bit-identical resume is a
   # floating-point identity claim just like the selector equivalences.
   # ShardEquivalence: the round loop == the serial reference is likewise a
-  # floating-point identity claim. FrozenGrid: every loop gathers candidates with an
-  # inflated-radius query on the round's FrozenGrid and then the exact
-  # reach predicate; the gather is exact only if that query never
-  # under-collects, which must hold under -O3 too. CommitEquivalence: the
+  # floating-point identity claim; it includes the sparse-index and
+  # shared-start worlds whose gathers run on cells sized to the open tasks
+  # and reuse repeated (start, reach) queries. FrozenGrid: every loop
+  # gathers candidates with an inflated-radius query on the round's
+  # FrozenGrid and then the exact reach predicate; the gather is exact only
+  # if that query never under-collects and its hits do not depend on the
+  # cell size (the round index sizes cells to the open-task count;
+  # FrozenGridProperty sweeps area/64 up to one cell over the whole area),
+  # which must hold under -O3 too. CommitEquivalence: the
   # batch commit's merge replays payments and deliveries in the order the
   # serial one-user-at-a-time reference commits them — bit-identity that
   # must survive -O3 exactly like the others. DemandIndicator/DemandLevel:

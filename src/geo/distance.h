@@ -1,13 +1,19 @@
 // Distance between 2-D points.
 //
 // The paper's cost model is proportional to straight-line traveled distance.
+// Inline: both run in the innermost loops of the grid queries, the gather
+// and the tour walk.
 #pragma once
 
 #include "geo/point.h"
 
 namespace mcs::geo {
 
-double euclidean(Point a, Point b);
-double squared_euclidean(Point a, Point b);
+inline double euclidean(Point a, Point b) { return norm(a - b); }
+
+inline double squared_euclidean(Point a, Point b) {
+  const Point d = a - b;
+  return dot(d, d);
+}
 
 }  // namespace mcs::geo

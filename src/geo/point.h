@@ -21,7 +21,4 @@ struct Point {
 inline double dot(Point a, Point b) { return a.x * b.x + a.y * b.y; }
 inline double norm(Point a) { return std::sqrt(dot(a, a)); }
 
-/// Linear interpolation from a to b; t=0 -> a, t=1 -> b.
-inline Point lerp(Point a, Point b, double t) { return a + (b - a) * t; }
-
 }  // namespace mcs::geo

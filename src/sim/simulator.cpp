@@ -1,6 +1,7 @@
 #include "sim/simulator.h"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <cmath>
 #include <memory>
@@ -72,9 +73,9 @@ std::vector<select::SelectionInstance> Simulator::peek_instances() {
   const std::vector<Money>& price = publish_round(next_round_, withdrawn);
   const model::UserStore& us = world_.user_store();
   std::vector<select::SelectionInstance> out(us.size());
-  std::vector<std::int32_t> hits;
+  GatherScratch scratch;
   for (std::size_t pos = 0; pos < us.size(); ++pos) {
-    gather(static_cast<std::uint32_t>(pos), us.home[pos], price, hits,
+    gather(static_cast<std::uint32_t>(pos), us.home[pos], price, scratch,
            out[pos]);
   }
   return out;
@@ -109,7 +110,15 @@ const std::vector<Money>& Simulator::publish_round(Round k, int& withdrawn) {
     round_rows_.push_back(static_cast<std::uint32_t>(i));
     round_points_.push_back(ts.location[i]);
   }
-  round_grid_.rebuild(world_.area(), grid_cell_size(), round_points_);
+  // About one open task per cell: a sparse round (20 tasks in the paper's
+  // field) would otherwise walk dozens of empty grid rows per query. The
+  // hits — and so every instance — are the same at any cell size.
+  const geo::BoundingBox& area = world_.area();
+  const double per_task_cell = std::sqrt(
+      area.width() * area.height() /
+      static_cast<double>(std::max<std::size_t>(1, round_rows_.size())));
+  round_grid_.rebuild(area, std::max(grid_cell_size(), per_task_cell),
+                      round_points_);
   // Sparse-id worlds resolve plan task ids through the store's hash index
   // when the round's tours are walked; warm it here, once per round and
   // serially, so concurrent walkers only ever read a fresh index
@@ -126,8 +135,7 @@ const std::vector<Money>& Simulator::publish_round(Round k, int& withdrawn) {
 }
 
 void Simulator::gather(std::uint32_t pos, geo::Point start,
-                       const std::vector<Money>& price,
-                       std::vector<std::int32_t>& hits,
+                       const std::vector<Money>& price, GatherScratch& scratch,
                        select::SelectionInstance& inst) const {
   const model::UserStore& us = world_.user_store();
   const model::TaskStore& ts = world_.task_store();
@@ -135,19 +143,41 @@ void Simulator::gather(std::uint32_t pos, geo::Point start,
   inst.travel = world_.travel();
   inst.time_budget = us.time_budget[pos];
   inst.candidates.clear();
-  // An inflated-radius query can only over-collect: the grid's
-  // squared-distance hit test and the sqrt-based reach predicate round
-  // differently within an ulp. The exact predicate — the one the DP
-  // front-end prunes with — then decides membership, in task-row order.
   const Meters reach = inst.distance_budget();
-  hits.clear();
-  round_grid_.for_each_in_radius(
-      start, reach * (1.0 + 1e-12) + 1e-9,
-      [&hits](std::int32_t h) { hits.push_back(h); });
-  std::sort(hits.begin(), hits.end());
-  for (const std::int32_t h : hits) {
-    const std::uint32_t row = round_rows_[static_cast<std::size_t>(h)];
-    if (geo::euclidean(start, ts.location[row]) > reach) continue;
+  const auto same = [](double a, double b) {
+    return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+  };
+  const GatherScratch::Query* query = nullptr;
+  for (std::size_t i = 0; i < scratch.filled && query == nullptr; ++i) {
+    const GatherScratch::Query& q = scratch.queries[i];
+    if (same(q.start.x, start.x) && same(q.start.y, start.y) &&
+        same(q.reach, reach)) {
+      query = &q;
+    }
+  }
+  if (query == nullptr) {
+    GatherScratch::Query& q = scratch.queries[scratch.next];
+    scratch.next = (scratch.next + 1) % GatherScratch::kSlots;
+    scratch.filled = std::min(scratch.filled + 1, GatherScratch::kSlots);
+    q.start = start;
+    q.reach = reach;
+    // An inflated-radius query can only over-collect: the grid's
+    // squared-distance hit test and the sqrt-based reach predicate round
+    // differently within an ulp. The exact predicate — the one the DP
+    // front-end prunes with — then decides membership. round_rows_ is
+    // ascending, so sorting rows sorts hits.
+    q.rows.clear();
+    round_grid_.for_each_in_radius(
+        start, reach * (1.0 + 1e-12) + 1e-9, [&](std::int32_t h) {
+          q.rows.push_back(round_rows_[static_cast<std::size_t>(h)]);
+        });
+    std::sort(q.rows.begin(), q.rows.end());
+    std::erase_if(q.rows, [&](std::uint32_t row) {
+      return geo::euclidean(start, ts.location[row]) > reach;
+    });
+    query = &q;
+  }
+  for (const std::uint32_t row : query->rows) {
     if (us.contributed[pos].test(ts.id[row])) continue;
     if (price[row] <= 0.0) continue;
     inst.candidates.push_back({ts.id[row], ts.location[row], price[row]});
@@ -428,7 +458,7 @@ void Simulator::run_sessions(Round k, const std::vector<Money>& price,
     // over), plans at those prices and commits as a one-user slice before
     // the next session is priced.
     std::vector<std::size_t> dirty;
-    std::vector<std::int32_t> hits;
+    GatherScratch scratch;
     select::SelectionInstance inst;
     double session_mean_sum = 0.0;
     int priced_sessions = 0;
@@ -454,7 +484,7 @@ void Simulator::run_sessions(Round k, const std::vector<Money>& price,
         ++priced_sessions;
       }
       if (timed) lap(phase_.reprice, t0);
-      gather(pos, us.location[pos], session_price, hits, inst);
+      gather(pos, us.location[pos], session_price, scratch, inst);
       solve(*selector_, pos, inst);
       if (timed) lap(phase_.plan, t0);
       commit_sessions(k, {&visit_order[idx], 1}, round_dropped_, round_plans_,
@@ -487,7 +517,7 @@ void Simulator::run_sessions(Round k, const std::vector<Money>& price,
                        : *selector_;
     select::PlanMemo* memo =
         memo_on ? round_memos_[static_cast<std::size_t>(w)].get() : nullptr;
-    std::vector<std::int32_t> hits;
+    GatherScratch scratch;
     select::SelectionInstance inst;
     std::uint64_t table_cell = ~std::uint64_t{0};
     for (std::size_t idx = lo; idx < hi; ++idx) {
@@ -501,7 +531,7 @@ void Simulator::run_sessions(Round k, const std::vector<Money>& price,
         memo->begin_table();
       }
       if (round_dropped_[pos] != 0) continue;
-      gather(pos, us.location[pos], price, hits, inst);
+      gather(pos, us.location[pos], price, scratch, inst);
       if (memo == nullptr) {
         solve(solver, pos, inst);
         continue;

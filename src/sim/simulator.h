@@ -19,6 +19,7 @@
 // gathered, solved and committed before the next one is priced.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -178,7 +179,8 @@ class Simulator {
   /// mechanism's update_rewards() for round k, the prices() table, the
   /// open-task scan with the glitch withdrawals (their count goes to
   /// `withdrawn`), the round task index (round_rows_, round_grid_) over
-  /// the open rows and, for sparse task ids, the id index the tour walks
+  /// the open rows — cells of side max(grid_cell_size(), sqrt(area / open
+  /// rows)); a gather's hits do not depend on the cell size — and, for sparse task ids, the id index the tour walks
   /// read. Returns the published prices.
   const std::vector<Money>& publish_round(Round k, int& withdrawn);
 
@@ -189,21 +191,43 @@ class Simulator {
   /// or the next prices() call.
   const std::vector<Money>& prices();
 
-  /// Side length of the round's grid cells — the task index and the
-  /// round loop's user buckets: area-derived (longest side / 64), so the
-  /// partition — and with it every per-cell memo table — is a pure function
-  /// of the world geometry, never of the worker count.
+  /// Side length of the round loop's user-bucket cells: area-derived
+  /// (longest side / 64), so the partition — and with it every per-cell
+  /// memo table — is a pure function of the world geometry, never of the
+  /// worker count. The round task index uses it as a floor only
+  /// (publish_round()).
   Meters grid_cell_size() const;
+
+  /// Per-loop scratch of gather(): the last kSlots distinct (start, reach)
+  /// queries, each holding the open rows within exact reach of its start,
+  /// ascending. An entry depends only on the round task index, never on
+  /// prices or on who has contributed, so it stays valid for the whole
+  /// round, across intra-round repricing too. Each loop makes a fresh
+  /// scratch per round and per worker: nothing is shared and nothing is
+  /// invalidated.
+  struct GatherScratch {
+    static constexpr std::size_t kSlots = 8;
+    struct Query {
+      geo::Point start;
+      Meters reach = 0.0;
+      std::vector<std::uint32_t> rows;
+    };
+    std::array<Query, kSlots> queries;
+    std::size_t filled = 0;  // slots in use
+    std::size_t next = 0;    // slot the next new query overwrites
+  };
 
   /// The candidate gather — the only way any loop builds a selection
   /// instance. Fills `inst` for the user at position `pos` starting from
   /// `start`: the indexed open tasks within the user's travel-distance
   /// budget (the DP front-end's exact reach predicate, after an
   /// inflated-radius grid query), not yet contributed to, with a positive
-  /// `price`, in ascending task-row order. `hits` is caller scratch; const
-  /// and reentrant, so plan workers gather concurrently.
+  /// `price`, in ascending task-row order. A (start, reach) query bit-equal
+  /// to one in `scratch` reuses its rows; only the per-user contributed and
+  /// price filters run again. Const and reentrant with one scratch per
+  /// thread, so plan workers gather concurrently.
   void gather(std::uint32_t pos, geo::Point start,
-              const std::vector<Money>& price, std::vector<std::int32_t>& hits,
+              const std::vector<Money>& price, GatherScratch& scratch,
               select::SelectionInstance& inst) const;
 
   /// The session engine for round k. A pre-pass advances every user's
@@ -280,7 +304,8 @@ class Simulator {
   select::PlanMemo plan_memo_;
   // Round task index (publish_round): the open task rows, ascending,
   // their locations, and a frozen grid over those whose point ids index
-  // round_rows_. All three are rebuilt in place every round.
+  // round_rows_, its cells sized to about one open task each. All three
+  // are rebuilt in place every round.
   std::vector<std::uint32_t> round_rows_;
   std::vector<geo::Point> round_points_;
   geo::FrozenGrid round_grid_;

@@ -20,14 +20,6 @@ TEST(Point, DotAndNorm) {
   EXPECT_DOUBLE_EQ(norm({0, 0}), 0.0);
 }
 
-TEST(Point, Lerp) {
-  const Point a{0, 0};
-  const Point b{10, 20};
-  EXPECT_EQ(lerp(a, b, 0.0), a);
-  EXPECT_EQ(lerp(a, b, 1.0), b);
-  EXPECT_EQ(lerp(a, b, 0.5), (Point{5, 10}));
-}
-
 TEST(Point, Equality) {
   EXPECT_TRUE((Point{1, 2}) == (Point{1, 2}));
   EXPECT_TRUE((Point{1, 2}) != (Point{1, 3}));

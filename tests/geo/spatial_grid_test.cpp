@@ -101,7 +101,10 @@ TEST(FrozenGrid, InflatedRadiusNeverUnderCollects) {
 }
 
 // Property sweep: FrozenGrid results must equal brute force for random point
-// sets and random queries, across several cell sizes.
+// sets and random queries, across cell sizes from area/64 up to one cell
+// covering the whole area (and beyond). The hit set is independent of the
+// cell size, which is what lets the round task index size its cells to the
+// number of open tasks.
 class FrozenGridProperty : public ::testing::TestWithParam<double> {};
 
 TEST_P(FrozenGridProperty, MatchesBruteForce) {
@@ -168,7 +171,8 @@ TEST(FrozenGrid, InPlaceRebuildEqualsFreshBuild) {
 }
 
 INSTANTIATE_TEST_SUITE_P(CellSizes, FrozenGridProperty,
-                         ::testing::Values(25.0, 100.0, 500.0, 2000.0));
+                         ::testing::Values(1000.0 / 64.0, 25.0, 100.0, 500.0,
+                                           1000.0, 2000.0));
 
 }  // namespace
 }  // namespace mcs::geo

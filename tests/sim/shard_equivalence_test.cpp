@@ -380,6 +380,120 @@ TEST(ShardEquivalence, ReachBoundaryTaskMatchesReference) {
   }
 }
 
+// A sparse world: four tasks on the paper's 3 km square. The round task
+// index sizes its cells to about one open task each — 1.5 km here, 32x the
+// area/64 user-bucket cell — and the cells grow as tasks complete and
+// close. A gather's hits must not depend on the cell size: at every worker
+// count the campaign equals the brute-force oracle.
+TEST(ShardEquivalence, SparseTaskIndexMatchesReference) {
+  const auto run = [](incentive::MechanismKind kind, int shards,
+                      bool reference) {
+    model::World world(geo::BoundingBox::square(3000.0),
+                       geo::TravelModel{2.0, 0.002}, 500.0);
+    Rng rng(17);
+    for (int i = 0; i < 4; ++i) {
+      world.add_task({rng.uniform(0.0, 3000.0), rng.uniform(0.0, 3000.0)},
+                     /*deadline=*/8, /*required=*/4 + 4 * i);
+    }
+    for (int i = 0; i < 40; ++i) {
+      world.add_user({rng.uniform(0.0, 3000.0), rng.uniform(0.0, 3000.0)},
+                     rng.uniform(300.0, 900.0));
+    }
+    Rng mech_rng(3);
+    auto mech = incentive::make_mechanism(kind, world, {}, mech_rng);
+    SimulatorParams sp;
+    sp.max_rounds = 8;
+    sp.shards = shards;
+    return serial_reference::run(
+        reference, std::move(world), std::move(mech),
+        select::make_selector(select::SelectorKind::kDp, 14), sp);
+  };
+  for (const auto kind : {incentive::MechanismKind::kOnDemand,
+                          incentive::MechanismKind::kSteered}) {
+    SCOPED_TRACE(incentive::mechanism_name(kind));
+    const CampaignRun reference = run(kind, 0, true);
+    // Tasks close during the campaign, so later rounds index fewer rows
+    // on larger cells.
+    ASSERT_FALSE(reference.rounds.empty());
+    EXPECT_LT(reference.rounds.back().open_tasks,
+              reference.rounds.front().open_tasks);
+    for (const int shards : {0, 1, 4}) {
+      SCOPED_TRACE("shards=" + std::to_string(shards));
+      expect_bit_identical(reference, run(kind, shards, false));
+    }
+  }
+}
+
+// The DP selector, checking every instance it is given against the gather
+// contract: candidates in ascending task id (= row here), each offered at a
+// positive price. No shipped selector ever picks a zero-price candidate, so
+// an instance that offered one would still walk the oracle's campaign; this
+// check sees it.
+class GatherContractSelector final : public select::TaskSelector {
+ public:
+  GatherContractSelector()
+      : inner_(select::make_selector(select::SelectorKind::kDp, 14)) {}
+  const char* name() const override { return "gather-contract"; }
+  select::Selection select(
+      const select::SelectionInstance& instance) const override {
+    for (std::size_t i = 0; i < instance.candidates.size(); ++i) {
+      EXPECT_GT(instance.candidates[i].reward, 0.0);
+      if (i > 0) {
+        EXPECT_LT(instance.candidates[i - 1].task, instance.candidates[i].task);
+      }
+    }
+    return inner_->select(instance);
+  }
+  int exact_candidate_limit() const override {
+    return inner_->exact_candidate_limit();
+  }
+  std::unique_ptr<select::TaskSelector> clone() const override {
+    return std::make_unique<GatherContractSelector>();
+  }
+
+ private:
+  std::unique_ptr<select::TaskSelector> inner_;
+};
+
+// Users homed at shared sites with bucketed budgets start a round at
+// bit-equal points with a few distinct reaches, so most gathers repeat a
+// (start, reach) query that an earlier user of the round already ran. A
+// repeat reuses that query's rows and reapplies only its own contributed
+// and price filters: two users at one site with different budgets must
+// not share rows, and steered reprices between sessions — a task that
+// completes mid-round drops to price 0 — so the price filter must read
+// each session's prices. At 1 and 4 workers, with the memo on and off,
+// every campaign equals the brute-force oracle.
+TEST(ShardEquivalence, SharedStartsMatchReference) {
+  const auto run = [](const RunKnobs& k, bool reference) {
+    Inputs in = make_inputs(k);
+    return serial_reference::run(
+        reference, std::move(in.world), std::move(in.mechanism),
+        std::make_unique<GatherContractSelector>(), in.sp,
+        std::move(in.mobility));
+  };
+  for (const auto kind : {incentive::MechanismKind::kOnDemand,
+                          incentive::MechanismKind::kSteered}) {
+    RunKnobs base;
+    base.kind = kind;
+    base.home_sites = 4;
+    base.budget_quantum = 150.0;
+    const CampaignRun reference = run(base, true);
+    EXPECT_GT(reference.spent, 0.0);
+    for (const bool memo : {false, true}) {
+      for (const int shards : {1, 4}) {
+        SCOPED_TRACE(std::string(incentive::mechanism_name(kind)) +
+                     (memo ? "/memo" : "/no-memo") + "/shards=" +
+                     std::to_string(shards));
+        RunKnobs k = base;
+        k.memo = memo;
+        k.shards = shards;
+        expect_bit_identical(reference, run(k, false));
+      }
+    }
+  }
+}
+
 // Sparse task AND user ids through the SoA stores and the checkpoint's
 // world payload: task ids {10, 20, 31} / user ids {70, 10, 55} with
 // contributions recorded into the chunked bitsets must survive
