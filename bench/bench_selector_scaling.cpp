@@ -1,6 +1,6 @@
 // Microbenchmarks for the §V complexity claims: the DP solver is
-// O(m^2 * 2^m), greedy is O(m^2), branch-and-bound sits in between in
-// practice.
+// O(m^2 * 2^m) in the worst case, greedy is O(m^2), and both exact solvers
+// (DP, branch-and-bound) cost what their pruning leaves to explore.
 //
 // Methodology: every size m is measured over a fixed panel of
 // kInstancesPerSize seeded instances (the seed depends only on m and the
@@ -15,6 +15,12 @@
 // scratch arena is warm). BM_DpSelectorColdArena constructs a fresh
 // selector per panel solve and therefore pays the arena allocation each
 // time; the gap between the two is the allocation cost the arena removes.
+//
+// The DP's work is proportional to the states it reaches, so on these
+// budget-limited panels its series flattens well below the O(m^2 * 2^m)
+// bound. BM_DpSelectorUnpruned measures the regime that bound describes:
+// zero travel cost and an unlimited budget, so neither the budget nor the
+// admissible prune stops anything and every state is reached.
 #include <benchmark/benchmark.h>
 
 #include <vector>
@@ -56,6 +62,16 @@ std::vector<select::SelectionInstance> make_panel(int m) {
   return panel;
 }
 
+// The same panel with free travel and no budget: every state is reached.
+std::vector<select::SelectionInstance> make_unpruned_panel(int m) {
+  auto panel = make_panel(m);
+  for (auto& inst : panel) {
+    inst.travel.cost_per_meter = 0.0;
+    inst.time_budget = kInf;
+  }
+  return panel;
+}
+
 template <typename Selector>
 void solve_panel(const Selector& s,
                  const std::vector<select::SelectionInstance>& panel) {
@@ -78,6 +94,16 @@ void BM_DpSelectorColdArena(benchmark::State& state) {
   const auto panel = make_panel(static_cast<int>(state.range(0)));
   for (auto _ : state) {
     const select::DpSelector dp(/*candidate_cap=*/20);
+    solve_panel(dp, panel);
+  }
+  state.SetItemsProcessed(state.iterations() * kInstancesPerSize);
+  state.SetComplexityN(state.range(0));
+}
+
+void BM_DpSelectorUnpruned(benchmark::State& state) {
+  const auto panel = make_unpruned_panel(static_cast<int>(state.range(0)));
+  const select::DpSelector dp(/*candidate_cap=*/20);
+  for (auto _ : state) {
     solve_panel(dp, panel);
   }
   state.SetItemsProcessed(state.iterations() * kInstancesPerSize);
@@ -108,5 +134,6 @@ void BM_BranchBoundSelector(benchmark::State& state) {
 
 BENCHMARK(BM_DpSelector)->DenseRange(4, 18, 2);
 BENCHMARK(BM_DpSelectorColdArena)->Arg(14)->Arg(18);
+BENCHMARK(BM_DpSelectorUnpruned)->Arg(10)->Arg(14)->Arg(18);
 BENCHMARK(BM_GreedySelector)->DenseRange(4, 18, 2)->Arg(64)->Arg(256);
 BENCHMARK(BM_BranchBoundSelector)->DenseRange(4, 18, 2);

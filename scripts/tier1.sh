@@ -4,15 +4,18 @@
 #   2. the concurrency-sensitive suites — thread pool, parallel runner
 #      determinism, simulator — rebuilt and rerun under ThreadSanitizer so
 #      data races in the pool or the repetition merge path fail loudly, then
-#   3. the fault-injection and failure-recovery suites rebuilt and rerun
-#      under ASan+UBSan (abandoned-tour prefix walks, runner retry paths and
-#      event-trace bookkeeping are exactly where an off-by-one would hide),
-#      then
+#   3. the fault-injection and failure-recovery suites, plus the DP
+#      selector's equivalence suites, rebuilt and rerun under ASan+UBSan
+#      (abandoned-tour prefix walks, runner retry paths, event-trace
+#      bookkeeping and the DP's lazy-table indexing are exactly where an
+#      off-by-one would hide), then
 #   4. a Release (-O3, NDEBUG) stage: the selector-equivalence suites rerun
 #      at the optimization level performance numbers are quoted at (the DP
 #      bound-prune and fused scan are exactly the code whose floating-point
 #      behaviour could shift under optimization), plus a smoke run of the
-#      micro benches so a broken bench binary fails tier-1, not bench day.
+#      micro benches so a broken bench binary fails tier-1, not bench day
+#      (the DP's m = 18 panels, cold and warm, take milliseconds now that a
+#      call pays only for the states it reaches).
 #
 # The ASan stage also carries the durability net: the checkpoint envelope /
 # writer / corruption-fuzz suites, the checkpoint-resume equivalence matrix
@@ -92,7 +95,7 @@ if [[ "${SKIP_ASAN}" == "1" ]]; then
   echo "tier1: skipping ASan+UBSan stage"
 else
   cmake -B build-asan -S . -DMCS_ASAN=ON
-  cmake --build build-asan -j "${JOBS}" --target test_sim test_integration
+  cmake --build build-asan -j "${JOBS}" --target test_sim test_integration test_select
   # Checkpoint* picks up the envelope/writer suites, the corruption fuzzers,
   # the resume-equivalence matrix, the RunnerCheckpoint recovery tests and
   # the fork-based CheckpointCrash kill-mid-write harness (unless
@@ -100,9 +103,13 @@ else
   # code that must never read past a truncated buffer. CommitEquivalence
   # drives abandoned-tour prefix walks at stress fault rates through the
   # buffered commit's segment buffers and row-grouped apply.
+  # DpEquivalence, DpSelector and PruneCandidatesInto drive the DP's lazy
+  # table: the pending-bitmap words, per-mask live words and row offsets
+  # are where an out-of-range access would hide, and the reused arena keeps
+  # stale rows that only a live bit may expose.
   ASAN_OPTIONS="halt_on_error=1" UBSAN_OPTIONS="halt_on_error=1" \
     ctest --test-dir build-asan --output-on-failure -j "${JOBS}" \
-    --no-tests=error -R 'Fault|RunnerFailure|Simulator|EventLog|Checkpoint|SerializeWorld|CommitEquivalence' \
+    --no-tests=error -R 'Fault|RunnerFailure|Simulator|EventLog|Checkpoint|SerializeWorld|CommitEquivalence|DpEquivalence|DpSelector|PruneCandidatesInto' \
     "${CRASH_EXCLUDE[@]}"
 fi
 
@@ -140,7 +147,7 @@ else
   ctest --test-dir build-release --output-on-failure -j "${JOBS}" \
     --no-tests=error -R 'DpEquivalence|PruneCandidatesInto|SolverEquivalence|DpSelector|PlanEquivalence|PlanMemo|RepriceEquivalence|OnDemandReprice|SteeredReprice|DemandIndicator|DemandLevel\.|DemandLevelProperty|NeighborCache|BudgetTracker|CheckpointResume|CheckpointEnvelope|ShardEquivalence|CommitEquivalence|FrozenGrid'
   ./build-release/bench/bench_selector_scaling --benchmark_min_time=0.01 \
-    --benchmark_filter='BM_DpSelector/14|BM_GreedySelector/14' >/dev/null
+    --benchmark_filter='BM_DpSelector/(14|18)|BM_DpSelectorColdArena/18|BM_DpSelectorUnpruned/14|BM_GreedySelector/14' >/dev/null
   # The 100k-user round-loop run (shards=1: buffered commit on one worker) and
   # BM_CampaignReprice join the smoke set: a large-world bench that no
   # longer builds or runs must fail tier-1, not bench day. Only the 100k

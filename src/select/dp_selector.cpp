@@ -3,7 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
-#include <numeric>
+#include <memory>
 
 #include "common/error.h"
 #include "geo/distance.h"
@@ -41,20 +41,27 @@ void prune_candidates_into(const SelectionInstance& instance, int cap,
   if (kept.size() <= static_cast<std::size_t>(cap)) return;
 
   // Score by the profit of performing the task alone; keep the best `cap`.
-  std::vector<std::size_t> idx(kept.size());
-  std::iota(idx.begin(), idx.end(), std::size_t{0});
-  auto score = [&](std::size_t i) {
-    const Candidate& c = kept[i];
-    return c.reward - instance.travel.cost_for(
-                          geo::euclidean(instance.start, c.location));
+  // Each candidate is scored once, before the sort.
+  struct Scored {
+    Money score;
+    std::size_t index;
   };
-  std::stable_sort(idx.begin(), idx.end(),
-                   [&](std::size_t a, std::size_t b) { return score(a) > score(b); });
-  idx.resize(static_cast<std::size_t>(cap));
-  std::sort(idx.begin(), idx.end());  // keep original relative order
-  // idx is ascending with idx[k] >= k, so the gather is safe in place.
-  for (std::size_t k = 0; k < idx.size(); ++k) kept[k] = kept[idx[k]];
-  kept.resize(idx.size());
+  std::vector<Scored> ranked(kept.size());
+  for (std::size_t i = 0; i < kept.size(); ++i) {
+    const Candidate& c = kept[i];
+    ranked[i] = {c.reward - instance.travel.cost_for(
+                                geo::euclidean(instance.start, c.location)),
+                 i};
+  }
+  std::stable_sort(ranked.begin(), ranked.end(),
+                   [](const Scored& a, const Scored& b) { return a.score > b.score; });
+  ranked.resize(static_cast<std::size_t>(cap));
+  // Keep the original relative order.
+  std::sort(ranked.begin(), ranked.end(),
+            [](const Scored& a, const Scored& b) { return a.index < b.index; });
+  // Indices ascend with ranked[k].index >= k, so the gather is safe in place.
+  for (std::size_t k = 0; k < ranked.size(); ++k) kept[k] = kept[ranked[k].index];
+  kept.resize(ranked.size());
 }
 
 Selection DpSelector::select(const SelectionInstance& instance) const {
@@ -69,16 +76,22 @@ Selection DpSelector::select(const SelectionInstance& instance) const {
   const std::size_t num_masks = std::size_t{1} << m;
   const std::size_t all = num_masks - 1;
 
-  // dp[mask * m + (j-1)]: shortest path visiting `mask`, ending at node j.
-  dp_.assign(num_masks * m, kInf);
-  // parent node (0 = start) for path reconstruction.
-  parent_.assign(num_masks * m, -1);
-  // Prefix sums over masks; every entry is written before it is read (the
-  // recurrences only look at strict submasks), so no initialization pass.
-  subset_reward_.resize(num_masks);
-  gain_in_.resize(num_masks);
-  subset_reward_[0] = 0.0;
-  gain_in_[0] = 0.0;
+  // dp_[mask * m + j]: shortest path visiting `mask`, ending at node j + 1;
+  // parent_ the node before it (0 = start). Both are read only where live_
+  // says this call wrote them, so growth needs no initialization.
+  if (num_masks * m > table_capacity_) {
+    table_capacity_ = num_masks * m;
+    dp_ = std::make_unique_for_overwrite<Meters[]>(table_capacity_);
+    parent_ = std::make_unique_for_overwrite<std::int8_t[]>(table_capacity_);
+  }
+  // Growth appends zeros; the existing words are zero between calls.
+  if (live_.size() < num_masks) live_.resize(num_masks, 0);
+  const std::size_t num_words = (num_masks + 63) / 64;
+  if (pending_.size() < num_words) pending_.resize(num_words, 0);
+  Meters* const dp = dp_.get();
+  std::int8_t* const parent = parent_.get();
+  std::uint32_t* const live = live_.data();
+  std::uint64_t* const pending = pending_.data();
 
   // net_gain_[q]: the most profit candidate q can add to any tour — its
   // reward minus the cost of its globally cheapest incoming edge.
@@ -94,88 +107,121 @@ Selection DpSelector::select(const SelectionInstance& instance) const {
     const Meters d = g.dist(0, j + 1);
     if (d <= dist_budget) {
       const std::size_t mask = std::size_t{1} << j;
-      dp_[mask * m + j] = d;
-      parent_[mask * m + j] = 0;
+      live[mask] = std::uint32_t{1} << j;
+      dp[mask * m + j] = d;
+      parent[mask * m + j] = 0;
+      pending[mask >> 6] |= std::uint64_t{1} << (mask & 63);
     }
   }
 
   Money best_profit = 0.0;  // doing nothing is always available
+  Money best_reward = 0.0;
   std::size_t best_mask = 0;
   std::size_t best_end = 0;
   Meters best_dist = 0.0;
 
-  for (std::size_t mask = 1; mask < num_masks; ++mask) {
-    const auto low_j = static_cast<std::size_t>(std::countr_zero(mask));
-    const std::size_t rest = mask & (mask - 1);  // mask without its low bit
-    const Money mask_reward = subset_reward_[rest] + g.reward(low_j + 1);
-    subset_reward_[mask] = mask_reward;
-    gain_in_[mask] = gain_in_[rest] + net_gain_[low_j];
+  for (std::size_t w = 0; w < num_words; ++w) {
+    // Re-read the word each time: expanding a mask may add higher bits.
+    while (pending[w] != 0) {
+      const std::uint64_t word = pending[w];
+      pending[w] = word & (word - 1);
+      const std::size_t mask =
+          (w << 6) | static_cast<std::size_t>(std::countr_zero(word));
+      const std::uint32_t ends = live[mask];
+      live[mask] = 0;
+      const Meters* const row = dp + mask * m;
 
-    // Score `mask` in place: transitions only write to strict supersets, so
-    // its dp rows are final once the outer loop arrives here. Scanning
-    // masks in ascending order with strict comparisons reproduces the
-    // reference implementation's separate best-profit pass bit for bit.
-    Meters shortest = kInf;
-    std::size_t end = 0;
-    for (std::size_t bits = mask; bits != 0; bits &= bits - 1) {
-      const auto j = static_cast<std::size_t>(std::countr_zero(bits));
-      const Meters dj = dp_[mask * m + j];
-      if (dj < shortest) {
-        shortest = dj;
-        end = j;
+      // R(mask) and the bound's inside gain, highest bit first: the order of
+      // the prefix recurrence R(mask) = R(mask without its low bit) + r(low),
+      // so the sums match the reference bit for bit.
+      Money mask_reward = 0.0;
+      Money gain_in = 0.0;
+      for (std::size_t bits = mask; bits != 0;) {
+        const auto h = static_cast<std::size_t>(std::bit_width(bits) - 1);
+        mask_reward += g.reward(h + 1);
+        gain_in += net_gain_[h];
+        bits ^= std::size_t{1} << h;
       }
-    }
-    if (shortest == kInf) continue;  // unreachable within budget
-    const Money profit = mask_reward - travel.cost_for(shortest);
-    if (profit > best_profit) {
-      best_profit = profit;
-      best_mask = mask;
-      best_end = end;
-      best_dist = shortest;
-    }
-    if (mask == all) continue;  // nothing left to extend
 
-    // Optimistic profit still available outside `mask`.
-    const Money gain_left = total_gain - gain_in_[mask];
-
-    for (std::size_t bits = mask; bits != 0; bits &= bits - 1) {
-      const auto j = static_cast<std::size_t>(std::countr_zero(bits));
-      const Meters cur = dp_[mask * m + j];
-      if (cur == kInf) continue;
-      // Dominated state: even completing with every remaining candidate at
-      // its cheapest incoming edge cannot beat the incumbent, so no
-      // descendant of this state can win — skip the whole expansion.
-      if (mask_reward - travel.cost_for(cur) + gain_left + kBoundSlack <=
-          best_profit) {
-        continue;
+      // Score `mask` in place: transitions only write to strict supersets,
+      // so its rows are final once the walk arrives here. Scanning masks in
+      // ascending order with strict comparisons reproduces the reference
+      // implementation's separate best-profit pass bit for bit.
+      Meters shortest = kInf;
+      std::size_t end = 0;
+      for (std::uint32_t bits = ends; bits != 0; bits &= bits - 1) {
+        const auto j = static_cast<std::size_t>(std::countr_zero(bits));
+        if (row[j] < shortest) {
+          shortest = row[j];
+          end = j;
+        }
       }
-      // Extend by one unvisited task q (Eq. 12).
+      const Money profit = mask_reward - travel.cost_for(shortest);
+      if (profit > best_profit) {
+        best_profit = profit;
+        best_reward = mask_reward;
+        best_mask = mask;
+        best_end = end;
+        best_dist = shortest;
+      }
+      if (mask == all) continue;  // nothing left to extend
+
+      // Optimistic profit still available outside `mask`. Dominated ends —
+      // even completing with every remaining candidate at its cheapest
+      // incoming edge cannot beat the incumbent, so no descendant can win —
+      // are not expanded.
+      const Money gain_left = total_gain - gain_in;
+      std::uint32_t open_ends = 0;
+      for (std::uint32_t bits = ends; bits != 0; bits &= bits - 1) {
+        const int j = std::countr_zero(bits);
+        if (!(mask_reward - travel.cost_for(row[j]) + gain_left + kBoundSlack <=
+              best_profit)) {
+          open_ends |= std::uint32_t{1} << j;
+        }
+      }
+      if (open_ends == 0) continue;
+
+      // Extend by one unvisited task q (Eq. 12). State (mask | q, q) has
+      // exactly one predecessor mask, this one, so its slot is settled here:
+      // the shortest feasible extension, first end j on ties — the order in
+      // which the reference relaxes j outer, q inner.
       for (std::size_t unv = all & ~mask; unv != 0; unv &= unv - 1) {
         const auto q = static_cast<std::size_t>(std::countr_zero(unv));
-        const Meters next = cur + g.dist(j + 1, q + 1);
-        if (next > dist_budget) continue;  // infeasible extension
-        const std::size_t slot = (mask | (std::size_t{1} << q)) * m + q;
-        if (next < dp_[slot]) {
-          dp_[slot] = next;
-          parent_[slot] = static_cast<std::int8_t>(j + 1);
+        Meters shortest_next = kInf;
+        std::size_t from = 0;
+        for (std::uint32_t bits = open_ends; bits != 0; bits &= bits - 1) {
+          const auto j = static_cast<std::size_t>(std::countr_zero(bits));
+          const Meters next = row[j] + g.dist(j + 1, q + 1);
+          if (next <= dist_budget && next < shortest_next) {
+            shortest_next = next;
+            from = j;
+          }
         }
+        if (shortest_next == kInf) continue;  // no feasible extension
+        const std::size_t nmask = mask | (std::size_t{1} << q);
+        if (live[nmask] == 0) pending[nmask >> 6] |= std::uint64_t{1} << (nmask & 63);
+        live[nmask] |= std::uint32_t{1} << q;
+        dp[nmask * m + q] = shortest_next;
+        parent[nmask * m + q] = static_cast<std::int8_t>(from + 1);
       }
     }
   }
 
   if (best_mask == 0) return {};
 
-  // Reconstruct the visiting order by walking parents backwards.
+  // Reconstruct the visiting order by walking parents backwards. Every state
+  // on the chain was written by this call: a state's parent was live when it
+  // relaxed it, and a walked mask's rows are never written again.
   Selection s;
   s.distance = best_dist;
-  s.reward = subset_reward_[best_mask];
+  s.reward = best_reward;
   s.cost = travel.cost_for(best_dist);
   reversed_.clear();
   std::size_t mask = best_mask;
   std::size_t j = best_end;
   while (true) {
     reversed_.push_back(g.task(j + 1));
-    const std::int8_t p = parent_[mask * m + j];
+    const std::int8_t p = parent[mask * m + j];
     MCS_ASSERT(p >= 0, "DP parent chain broken");
     mask ^= (std::size_t{1} << j);
     if (p == 0) break;

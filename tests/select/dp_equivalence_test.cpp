@@ -1,5 +1,6 @@
-// Equivalence pins for the optimized DpSelector (scratch arena, bit
-// iteration, fused best scan, admissible state prune): the returned
+// Equivalence pins for the optimized DpSelector (scratch arena with lazy
+// rows, walk over reached masks, bit iteration, fused best scan, admissible
+// state prune): the returned
 // Selection must be IDENTICAL — same visiting order and
 // bit-identical economics, not merely the same profit — to the
 // straightforward pre-optimization DP, reproduced verbatim below as the
@@ -223,12 +224,94 @@ TEST(DpEquivalence, ArenaCarriesNoStateBetweenInstances) {
   }
 }
 
+// Appends copies of random candidates (same location and reward, fresh task
+// ids), so equal scores and equal-profit tours tie.
+void add_twins(Rng& rng, SelectionInstance& inst, int twins) {
+  const auto n = static_cast<std::int64_t>(inst.candidates.size());
+  for (int k = 0; k < twins && n > 0; ++k) {
+    Candidate c = inst.candidates[static_cast<std::size_t>(
+        rng.uniform_int(0, n - 1))];
+    c.task = static_cast<TaskId>(n + k);
+    inst.candidates.push_back(c);
+  }
+}
+
+TEST(DpEquivalence, RandomizedReusedSelectorMatchesOracle) {
+  // The arena keeps stale rows between calls, so one selector solves a
+  // seeded sequence whose m rises and falls over 0-16, across budgets from
+  // nothing reachable to everything reachable (free travel, no budget),
+  // with co-located equal-reward twins whose profit ties pin the
+  // ascending-mask tie-break.
+  const DpSelector dp(16);
+  Rng rng(0xd1ff5eedULL);
+  int nonempty = 0;
+  for (int t = 0; t < 160; ++t) {
+    const int wave = t % 32 < 16 ? t % 32 : 32 - t % 32;  // 0..16..1
+    const int m = std::clamp(
+        wave + static_cast<int>(rng.uniform_int(-2, 2)), 0, 16);
+    SelectionInstance inst;
+    switch (t % 4) {
+      case 0:  // nothing reachable
+        inst = random_instance(rng, m, 1.0, 0.002, 2500.0);
+        break;
+      case 1:  // everything reachable, nothing pruned
+        inst = random_instance(rng, m, kInf, 0.0, 2500.0);
+        break;
+      default:
+        inst = random_instance(rng, m, rng.uniform(150.0, 1500.0),
+                               rng.uniform(0.0005, 0.004), 2500.0);
+        break;
+    }
+    if (m >= 2 && m < 16) {
+      add_twins(rng, inst, static_cast<int>(rng.uniform_int(
+                               1, std::min(4, 16 - m))));
+    }
+    const Selection ref = reference_dp_select(inst, 16);
+    const Selection got = dp.select(inst);
+    expect_selection_identical(got, ref, "reused selector vs oracle");
+    if (t % 4 == 0) {
+      EXPECT_TRUE(got.empty()) << "t=" << t;
+    }
+    if (!got.empty()) ++nonempty;
+  }
+  EXPECT_GT(nonempty, 60);
+}
+
+TEST(DpEquivalence, AboveOracleSizeMatchesBranchAndBound) {
+  // m = 17-20 at cap 20: the oracle's 2^m * m table is too large, so the
+  // profit is checked against branch-and-bound and the reported economics
+  // against a re-evaluation of the returned order.
+  const DpSelector dp(20);
+  const BranchBoundSelector bb;
+  Rng rng(0xb16da7aULL);
+  int nonempty = 0;
+  for (int t = 0; t < 12; ++t) {
+    const int m = 17 + t % 4;
+    SelectionInstance inst =
+        random_instance(rng, m - 1, rng.uniform(300.0, 900.0), 0.002, 2500.0);
+    add_twins(rng, inst, 1);
+    const Selection got = dp.select(inst);
+    EXPECT_NEAR(got.profit(), bb.select(inst).profit(), 1e-9)
+        << "m=" << m << " t=" << t;
+    const Selection again = evaluate_order(inst, got.order);
+    EXPECT_NEAR(got.distance, again.distance, 1e-9);
+    EXPECT_NEAR(got.reward, again.reward, 1e-9);
+    EXPECT_NEAR(got.cost, again.cost, 1e-9);
+    EXPECT_TRUE(is_feasible(inst, got));
+    if (!got.empty()) ++nonempty;
+  }
+  EXPECT_GT(nonempty, 6);
+}
+
 TEST(PruneCandidatesInto, MatchesReferencePrune) {
   Rng rng(0x9871ULL);
-  for (int t = 0; t < 20; ++t) {
+  for (int t = 0; t < 40; ++t) {
     const int m = static_cast<int>(rng.uniform_int(1, 24));
-    const SelectionInstance inst =
+    SelectionInstance inst =
         random_instance(rng, m, rng.uniform(100.0, 1200.0), 0.002, 2500.0);
+    // Every other trial adds twins: equal scores whose stable order the
+    // prune must keep.
+    if (t % 2 == 1) add_twins(rng, inst, static_cast<int>(rng.uniform_int(1, 8)));
     const SelectionInstance want = reference_prune(inst, 10);
     std::vector<Candidate> kept;
     prune_candidates_into(inst, 10, kept);
